@@ -28,7 +28,7 @@ from .potentials import (
     constant_potential,
     theta_grid,
 )
-from .galerkin import SpectralDecomposition, ab_spectrum, compute_spectrum
+from .galerkin import SpectralDecomposition, compute_spectrum
 from .kernel import KernelEigendata, ab_eigendata, from_spectrum, kernel_value, sup_scan
 from .propagator import (
     PolarField,
@@ -57,7 +57,6 @@ __all__ = [
     "SymmetryViolation",
     "__version__",
     "ab_eigendata",
-    "ab_spectrum",
     "asymptotic_residuals",
     "build_potential",
     "classify_resonance",

@@ -166,6 +166,9 @@ def cmd_wkb(cfg: ExperimentConfig, out_dir: str | None) -> int:
             "wkb requires a non-resonant circulation; use the spectrum command"
         )
     dec = galerkin.compute_spectrum(p, sec["M"])
+    if dec.resolved_count == 0:
+        raise InsufficientResolution(
+            f"no eigenvalue certified at M = {sec['M']}; increase M")
     mu = dec.eigenvalues[:dec.resolved_count]
     rows = []
     worst = 0.0
@@ -205,18 +208,14 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
                            n_theta=sec["n_theta"], tol=sec["tol"])
 
     rho = np.linspace(0.0, sec["rho_max"], sec["n_rho"])
-    theta = np.linspace(0.0, 2.0 * math.pi, sec["n_theta"], endpoint=False)
+    step = 1 if sec["full_grid"] else max(1, sec["n_rho"] // 40)
     rows = []
-    for r_val in rho if sec["full_grid"] else rho[:: max(1, sec["n_rho"] // 40)]:
-        grid = kernel.evaluate_grid(data, np.array([r_val]), theta, theta,
-                                    tol=sec["tol"])[0]
-        flat = int(np.argmax(np.abs(grid)))
-        i, j = np.unravel_index(flat, grid.shape)
-        val = grid[i, j]
-        bounds = kernel.term_bounds(data, float(r_val))
-        cut = kernel.cutoff_index(data, float(r_val), sec["tol"])
-        tail = kernel.tail_bound_beyond(data, float(r_val)) + float(np.sum(bounds[cut:]))
-        rows.append((r_val, theta[i], theta[j], val.real, val.imag, abs(val),
+    for n in range(0, rho.size, step):
+        val = scan.row_values[n]
+        bounds = kernel.term_bounds(data, float(rho[n]))
+        cut = kernel.cutoff_index(data, float(rho[n]), sec["tol"])
+        tail = kernel.tail_bound_beyond(data, float(rho[n])) + float(np.sum(bounds[cut:]))
+        rows.append((rho[n], *scan.row_argmax[n], val.real, val.imag, abs(val),
                      cut, tail))
     path = _out(cfg, out_dir, "kernel_scan.csv")
     _write_csv(path, ["rho", "theta", "theta_prime", "re_k", "im_k", "abs_k",

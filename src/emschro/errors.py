@@ -48,6 +48,3 @@ class SymmetryViolation(InvalidInput):
 class HypothesisViolation(EmschroError):
     """Spectral positivity hypothesis fails (lowest angular eigenvalue <= 0)."""
 
-
-class TruncationTooSmall(InvalidInput):
-    """Requested truncation cannot certify the requested tail tolerance."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientResolution, InvalidInput, InvalidMatrix
-from .potentials import AngularPotential, constant_potential, theta_grid
+from .potentials import AngularPotential, theta_grid
 
 HERMITIAN_DEFECT_TOL = 1e-12
 RESOLVE_FACTOR = 1.5
@@ -103,11 +103,6 @@ class SpectralDecomposition:
     def modes(self) -> np.ndarray:
         return np.arange(-self.M, self.M + 1)
 
-    def eigenfunction_values(self, k: int, theta: np.ndarray) -> np.ndarray:
-        th = np.asarray(theta, dtype=float)
-        ph = np.exp(1j * np.outer(th, self.modes))
-        return (ph @ self.coeffs[:, k]) / math.sqrt(2.0 * math.pi)
-
     def eigenfunctions_on_grid(self, n: int) -> np.ndarray:
         """(n, n_eig) samples of all eigenfunctions on theta_grid(n)."""
         if n < 2 * self.M + 2:
@@ -167,21 +162,6 @@ def compute_spectrum(p: AngularPotential, M: int,
     return SpectralDecomposition(
         eigenvalues=dec.eigenvalues, coeffs=dec.coeffs, M=M,
         resolved_count=count, hermitian_defect=dec.hermitian_defect, potential=p,
-    )
-
-
-def ab_spectrum(alpha: float, M: int) -> SpectralDecomposition:
-    """Exact closed-form spectrum for constant A = alpha, a = 0."""
-    js = np.arange(-M, M + 1)
-    vals = (js + alpha) ** 2
-    order = np.argsort(vals, kind="stable")
-    n = 2 * M + 1
-    U = np.zeros((n, n))
-    U[order, np.arange(n)] = 1.0
-    return SpectralDecomposition(
-        eigenvalues=vals[order].astype(float), coeffs=U.astype(complex), M=M,
-        resolved_count=n, hermitian_defect=0.0,
-        potential=constant_potential(0.0, alpha),
     )
 
 
@@ -316,27 +296,6 @@ def cluster_check(dec: SpectralDecomposition, p: AngularPotential,
                          disjoint=disjoint, rows=rows, alpha_bound=alpha_bound)
 
 
-# -- coarse localization window -------------------------------------------------
-
-
-def weyl_window_check(dec: SpectralDecomposition, p: AngularPotential,
-                      delta: float = 0.1, slack: float | None = None) -> bool:
-    """Coarse two-sided window for every resolved eigenvalue (sorted order)."""
-    ab = abs(p.reduced_circulation)
-    atil = p.a_mean
-    if slack is None:
-        th = theta_grid(2048)
-        slack = float(np.max(np.abs(p.a_values(th) - atil))) + 1.0
-    for i in range(dec.resolved_count):
-        k = i + 1
-        q = (k + 1) // 2  # ceil(k/2)
-        lo = atil + (max(q - 1 - ab - delta, 0.0)) ** 2 - slack
-        hi = atil + (q + ab + delta) ** 2 + slack
-        if not (lo <= dec.eigenvalues[i] <= hi):
-            return False
-    return True
-
-
 def subspace_angle(U1: np.ndarray, U2: np.ndarray) -> float:
     """Largest principal angle (radians) between the column spans of U1, U2."""
     Q1, _ = np.linalg.qr(np.atleast_2d(U1.T).T if U1.ndim == 1 else U1)
@@ -345,14 +304,3 @@ def subspace_angle(U1: np.ndarray, U2: np.ndarray) -> float:
     s = np.clip(s, -1.0, 1.0)
     return float(np.arccos(np.min(s)))
 
-
-def degenerate_clusters(dec: SpectralDecomposition, gap: float = CLUSTER_GAP):
-    """Indices grouped into clusters of eigenvalues closer than `gap` (relative)."""
-    w = dec.eigenvalues
-    groups = [[0]]
-    for i in range(1, w.size):
-        if abs(w[i] - w[i - 1]) < gap * max(1.0, abs(w[i])):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return groups

@@ -92,11 +92,20 @@ def from_spectrum(dec: SpectralDecomposition, count: int | None = None) -> Kerne
 
 def ab_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
     """Closed-form eigendata for constant circulation alpha (modes |k| <= n_modes)."""
-    if abs(alpha) >= 1.0 or alpha == 0.0:
-        # alpha = 0 makes mu_0 = 0 (order zero is fine but mu_1 > 0 fails as stated)
-        if alpha == 0.0:
-            raise HypothesisViolation("alpha = 0 has a zero ground eigenvalue")
+    if abs(alpha) >= 1.0:
         raise InvalidInput("use the reduced circulation |alpha| < 1")
+    if alpha == 0.0:
+        # order zero is fine for evolution, but mu_1 > 0 fails as stated
+        raise HypothesisViolation("alpha = 0 has a zero ground eigenvalue")
+    return circulation_eigendata(alpha, n_modes)
+
+
+def circulation_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
+    """Eigenpairs (k + alpha)^2, e^{ik theta}/sqrt(2 pi) for |k| <= n_modes, unchecked.
+
+    alpha = 0 gives the free flow's integer orders beta = |k|; use
+    `ab_eigendata` wherever the kernel hypothesis mu_1 > 0 must hold.
+    """
     ks = np.arange(-n_modes, n_modes + 1)
     mu = (ks + alpha) ** 2
     order = np.argsort(mu, kind="stable")
@@ -127,12 +136,6 @@ def _tail_sup_sq(data: KernelEigendata, mu: float) -> float:
     cA = float(np.max(np.abs(p.A_values(th))))
     grad = cA + math.sqrt(cA * cA + max(mu, 0.0) + ca + cA * cA)
     return 1.0 / (2.0 * math.pi) + 2.0 * grad
-
-
-def _mu_lower_beyond(data: KernelEigendata, k: int) -> float:
-    """Rigorous lower bound for the k-th eigenvalue (1-based), any k > count."""
-    q = (k - 1) // 2
-    return max(q - abs(data.tail_abar), 0.0) ** 2 + data.tail_floor
 
 
 def tail_bound_beyond(data: KernelEigendata, rho: float) -> float:
@@ -248,6 +251,8 @@ class ScanReport:
     window_edges: np.ndarray = field(repr=False)
     window_maxima: np.ndarray = field(repr=False)   # max within each window
     running_maxima: np.ndarray = field(repr=False)  # max over [0, edge]
+    row_values: np.ndarray = field(repr=False)      # K at each rho's max over the angles
+    row_argmax: np.ndarray = field(repr=False)      # (theta, theta') of that max, per rho
     top_two_decade_variation: float
     grid_shape: tuple[int, int, int] = (0, 0, 0)
 
@@ -264,24 +269,29 @@ def sup_scan(data: KernelEigendata, rho_max: float = 50.0, n_rho: int = 200,
     rho = np.linspace(0.0, rho_max, n_rho)
     th = 2.0 * np.pi * np.arange(n_theta) / n_theta
     K = evaluate_grid(data, rho, th, th, tol)
-    A = np.abs(K)
-    idx = np.unravel_index(int(np.argmax(A)), A.shape)
+    # K comes out in Fortran order; a C-ordered |K| keeps the reshape a view
+    A = np.abs(K, order="C").reshape(n_rho, -1)
+    it, jt = np.unravel_index(np.argmax(A, axis=1), (n_theta, n_theta))
+    row_values = K[np.arange(n_rho), it, jt]
+    peak = np.abs(row_values)
+    top = int(np.argmax(peak))
     # geometric window edges spanning two decades up to rho_max
     edges = rho_max * np.logspace(-n_windows * 0.25, 0.0, n_windows + 1)
     wmax = np.zeros(n_windows)
     rmax = np.zeros(n_windows + 1)
     for w in range(n_windows):
         sel = (rho >= edges[w]) & (rho <= edges[w + 1])
-        wmax[w] = float(A[sel].max()) if np.any(sel) else 0.0
+        wmax[w] = float(peak[sel].max()) if np.any(sel) else 0.0
     for w in range(n_windows + 1):
-        rmax[w] = float(A[rho <= edges[w]].max()) if np.any(rho <= edges[w]) else 0.0
-    m_low = float(A[rho <= rho_max / 10.0].max())
-    m_all = float(A.max())
+        rmax[w] = float(peak[rho <= edges[w]].max()) if np.any(rho <= edges[w]) else 0.0
+    m_low = float(peak[rho <= rho_max / 10.0].max())
+    m_all = float(peak[top])
     variation = (m_all - m_low) / m_all
     return ScanReport(
-        max_abs=float(A[idx]), argmax=(float(rho[idx[0]]), float(th[idx[1]]), float(th[idx[2]])),
+        max_abs=m_all, argmax=(float(rho[top]), float(th[it[top]]), float(th[jt[top]])),
         window_edges=edges, window_maxima=wmax, running_maxima=rmax,
-        top_two_decade_variation=variation, grid_shape=A.shape,
+        row_values=row_values, row_argmax=np.column_stack([th[it], th[jt]]),
+        top_two_decade_variation=variation, grid_shape=K.shape,
     )
 
 

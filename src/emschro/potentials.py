@@ -114,12 +114,6 @@ class AngularPotential:
     def A_values(self, theta) -> np.ndarray:
         return self._eval(self.A_coeffs, np.atleast_1d(theta))
 
-    def a_on_grid(self, n: int) -> np.ndarray:
-        return self.a_values(theta_grid(n))
-
-    def A_on_grid(self, n: int) -> np.ndarray:
-        return self.A_values(theta_grid(n))
-
     def integral_A(self, theta) -> np.ndarray:
         """Exact antiderivative of A from 0 to theta (linear + periodic part)."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -132,10 +126,6 @@ class AngularPotential:
                 continue
             out += c * (np.exp(1j * m * th) - 1.0) / (1j * m)
         return out.real
-
-    def a_prime_coeffs(self) -> np.ndarray:
-        M = self.a_bandwidth
-        return self.a_coeffs * 1j * np.arange(-M, M + 1)
 
 
 def theta_grid(n: int) -> np.ndarray:

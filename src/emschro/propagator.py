@@ -8,13 +8,15 @@ angular eigenbasis, u0(r', theta') = sum_k a_k(r') psi_k(theta'), then
 
 Evaluation runs in the variable s = r/(2t): the radial integral is band-limited
 in s by the source support, so a uniform s grid with spacing pi/(4 r'_max) is
-spectrally adequate, and the L^2 norm follows from the same samples.  Negative
-times use conjugation: flipping the sign of the magnetic field conjugates the
-angular eigenbasis, so u(-t; A) = conj(u(t; -A) applied to conj(u0)).
+spectrally adequate, and the L^2 norm follows from the same samples.
 
-Two independent oracles share only the angular diagonalization: a modewise
-radial Crank-Nicolson integrator (Liouville form, unitary in ell^2), and the
-closed-form free evolution for comparison experiments.
+Negative times are handled once, in `_evolve_core`: for real a and A the
+reversed field -A has the eigendata (mu_k, conj psi_k) exactly, so
+u(-t; A) = conj(u(t; -A) applied to conj(u0)) costs a conjugation, not a new
+spectrum.  The free flow is the alpha = 0 case of the same core, with integer
+orders beta = |m|.  The oracle is a modewise radial Crank-Nicolson integrator
+(Liouville form, unitary in ell^2, signed step dt = t / n_steps); it shares
+only the angular basis with the series route.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from scipy.linalg import solve_banded
 
 from . import bessel, kernel
 from .errors import InsufficientResolution, InvalidInput, ResolutionError
-from .galerkin import compute_spectrum
 from .kernel import KernelEigendata
 from .potentials import AngularPotential, theta_grid
 
@@ -164,12 +165,16 @@ def _check_source_resolution(u0: PolarField, s_max: float, t: float) -> None:
 
 
 def _flip_eigendata(data: KernelEigendata) -> KernelEigendata:
-    """Eigendata of the magnetically reversed operator (for negative times)."""
+    """Eigendata of the magnetically reversed operator, by exact conjugation.
+
+    For real a and A, L(-A) conj(psi) = conj(L(A) psi), so the pairs are
+    (mu_k, conj psi_k): coefficients conj(coeffs[::-1]), or negated modes and alpha.
+    """
     if data.source == kernel.SOURCE_AB:
-        return kernel.ab_eigendata(-data.ab_alpha, (data.count - 1) // 2)
+        return replace(data, ab_modes=-data.ab_modes, ab_alpha=-data.ab_alpha)
     p = data.potential
-    M = (data.coeffs.shape[0] - 1) // 2
-    return kernel.from_spectrum(compute_spectrum(AngularPotential(p.a_coeffs, -p.A_coeffs), M))
+    return replace(data, coeffs=np.conj(data.coeffs[::-1]),
+                   potential=AngularPotential(p.a_coeffs, -p.A_coeffs))
 
 
 def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
@@ -234,7 +239,15 @@ def _evaluation_grid(u0: PolarField, t: float) -> np.ndarray:
 
 def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
                  r_out: np.ndarray | None):
-    """Positive-time evolution internals: (field, s grid, I rows, kept indices)."""
+    """Evolution internals: (field, s grid, I rows, a rows, kept indices).
+
+    For t < 0, s, I and a are those of the |t| mirror run (reversed field,
+    conj u0), so `_modal_masses` at |t| applies to them unchanged.
+    """
+    if t < 0.0:
+        mirror, s, I, a, keep = _evolve_core(
+            _flip_eigendata(data), replace(u0, values=np.conj(u0.values)), -t, r_out)
+        return replace(mirror, values=np.conj(mirror.values), t=t), s, I, a, keep
     r_src = u0.r
     if r_out is None:
         s = _evaluation_grid(u0, t)
@@ -260,46 +273,17 @@ def evolve(data: KernelEigendata, u0: PolarField, t: float,
     """Apply the flow for time t via the Bessel-series representation."""
     if t == 0.0:
         return replace(u0, t=0.0)
-    if t < 0.0:
-        mirror = evolve(_flip_eigendata(data), replace(u0, values=np.conj(u0.values)),
-                        -t, r_out=r_out)
-        return PolarField(r=mirror.r, values=np.conj(mirror.values), t=t)
     field, _, _, _, _ = _evolve_core(data, u0, t, r_out)
     return field
 
 
 def free_evolution(u0: PolarField, t: float, r_out: np.ndarray | None = None) -> PolarField:
-    """Evolution with no potential at all (integer-order Bessel route)."""
-    if t == 0.0:
-        return replace(u0, t=0.0)
-    if t < 0.0:
-        mirror = free_evolution(replace(u0, values=np.conj(u0.values)), -t, r_out=r_out)
-        return PolarField(r=mirror.r, values=np.conj(mirror.values), t=t)
-    r_src = u0.r
-    r_src_max = float(r_src[-1])
-    if r_out is None:
-        k_rad = radial_bandwidth(u0)
-        r_eval = r_src_max + 2.0 * t * (1.25 * k_rad + 1.0)
-        ds = math.pi / (S_OVERSAMPLE * r_src_max)
-        s = ds * np.arange(int(math.ceil(r_eval / (2.0 * t) / ds)) + 1)
-    else:
-        s = np.asarray(r_out, dtype=float) / (2.0 * t)
-    _check_source_resolution(u0, float(np.max(s)), t)
+    """Evolution with no potential at all: the alpha = 0 closed-form eigendata.
 
-    nth = u0.n_theta
-    modes = np.fft.fftfreq(nth, 1.0 / nth).astype(int)
-    coeff = np.fft.fft(u0.values, axis=1) / nth          # (n_r, n_modes)
-    a = (math.sqrt(2.0 * math.pi) * coeff).T
-    norms = np.max(np.abs(a), axis=1)
-    keep = np.flatnonzero(norms > MODE_KEEP_RTOL * float(np.max(norms)))
-    betas = np.abs(modes[keep]).astype(float)
-    I = _hankel_integrals(betas, a[keep], r_src, t, s)
-    phases = np.array([kernel.i_power(float(b)) for b in betas])
-    th = u0.thetas()
-    Psi = np.exp(1j * np.outer(modes[keep], th)) / math.sqrt(2.0 * math.pi)
-    prefac = np.exp(1j * t * s ** 2) / (2.0j * t)
-    values = np.einsum("s,k,ks,kj->sj", prefac, phases, I, Psi, optimize=True)
-    return PolarField(r=2.0 * t * s, values=values, t=t)
+    Orders beta = |m| for |m| <= (n_theta - 1) // 2, so no two modes alias on
+    the angular grid of u0.
+    """
+    return evolve(kernel.circulation_eigendata(0.0, (u0.n_theta - 1) // 2), u0, t, r_out)
 
 
 # -- Crank-Nicolson oracle ---------------------------------------------------------
@@ -343,16 +327,11 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     """
     if t == 0.0:
         return replace(u0, t=0.0)
-    if t < 0.0:
-        mirror = crank_nicolson_oracle(
-            _flip_eigendata(data), replace(u0, values=np.conj(u0.values)),
-            -t, n_steps=n_steps, r_max=r_max, refine=refine)
-        return PolarField(r=mirror.r, values=np.conj(mirror.values), t=t)
 
     dr_src = float(u0.r[1] - u0.r[0])
     k_rad = radial_bandwidth(u0)
     if r_max is None:
-        r_max = float(u0.r[-1]) + 2.0 * t * (1.5 * k_rad + 2.0)
+        r_max = float(u0.r[-1]) + 2.0 * abs(t) * (1.5 * k_rad + 2.0)
     n_coarse = max(int(math.ceil(r_max / dr_src)), u0.r.size + 2)
     dr = dr_src / refine
     n_r = refine * n_coarse
@@ -431,12 +410,7 @@ def evolve_result(data: KernelEigendata, u0: PolarField, t: float) -> EvolutionR
         return EvolutionResult(t=0.0, field=replace(u0, t=0.0), sup_norm=u0.sup_norm(),
                                l2_norm=u0.l2_norm(), decay_functional=0.0)
     l1 = u0.l1_norm()
-    if t < 0.0:
-        data = _flip_eigendata(data)
-        u0 = replace(u0, values=np.conj(u0.values))
-    field, s, I, a, keep = _evolve_core(data, u0, abs(t), None)
-    if t < 0.0:
-        field = PolarField(r=field.r, values=np.conj(field.values), t=t)
+    field, s, I, a, keep = _evolve_core(data, u0, t, None)
     masses = _modal_masses(data.beta[keep], a[keep], u0.r, abs(t), s, I)
     sup = field.sup_norm()
     return EvolutionResult(t=float(t), field=field, sup_norm=sup,

@@ -1,10 +1,14 @@
 """Command-line behavior: exit codes, deterministic tables, sidecars."""
 
+import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from emschro import acceptance, cli
+from emschro import acceptance, cli, galerkin, kernel
+from emschro.potentials import build_potential
 
 
 def write_config(tmp_path, name, doc):
@@ -71,6 +75,32 @@ def test_wkb_command(ab_config, tmp_path):
 def test_kernel_scan_command(ab_config, tmp_path):
     assert cli.main(["kernel-scan", ab_config]) == 0
     assert (tmp_path / "out" / "kernel_scan.csv").exists()
+
+
+def test_kernel_scan_rows_match_direct_evaluation(ab_config, tmp_path):
+    assert cli.main(["kernel-scan", ab_config]) == 0
+    with open(tmp_path / "out" / "kernel_scan.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 60           # stride max(1, 60 // 40) = 1
+    p = build_potential(a_coeffs=[0.0], A_coeffs=[0.3])
+    data = kernel.from_spectrum(galerkin.compute_spectrum(p, 160))
+    tol = 1e-9
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    for row in rows:
+        rho = float(row["rho"])
+        direct = np.abs(kernel.evaluate_grid(data, np.array([rho]), theta, theta, tol))
+        assert abs(float(row["abs_k"]) - float(direct.max())) <= 2 * tol
+        assert int(row["terms_used"]) == kernel.cutoff_index(data, rho, tol)
+
+
+def test_wkb_without_certified_eigenvalues_is_a_resolution_failure(ab_config, monkeypatch):
+    real = galerkin.compute_spectrum
+
+    def uncertified(p, M, *args, **kw):
+        return dataclasses.replace(real(p, M, *args, **kw), resolved_count=0)
+
+    monkeypatch.setattr(galerkin, "compute_spectrum", uncertified)
+    assert cli.main(["wkb", ab_config]) == cli.EXIT_RESOLUTION
 
 
 def test_exit_code_hypothesis_violation(tmp_path):

@@ -111,16 +111,18 @@ def test_free_evolution_matches_gaussian_closed_form():
 
 def test_free_evolution_matches_degree_one_closed_form():
     a = 2.0
-    n, r_max, t = 2048, 16.0, 0.5
+    n, r_max = 2048, 16.0
     r = uniform_radii(r_max, n)
     th = 2 * np.pi * np.arange(32) / 32
     u0 = PolarField(r, np.outer(r * np.exp(-((r / a) ** 2)), np.exp(1j * th)), 0.0)
-    out = free_evolution(u0, t, r_out=r)
-    sigma = a * a + 4j * t
-    exact = np.outer((a * a / sigma) ** 2 * r * np.exp(-(r ** 2) / sigma),
-                     np.exp(1j * th))
-    err = np.linalg.norm(out.values - exact) / np.linalg.norm(exact)
-    assert err < 1e-6
+    # at t < 0, sigma = a^2 + 4it is the conjugate of its value at |t|
+    for t in (0.5, -0.5):
+        out = free_evolution(u0, t, r_out=r)
+        sigma = a * a + 4j * t
+        exact = np.outer((a * a / sigma) ** 2 * r * np.exp(-(r ** 2) / sigma),
+                         np.exp(1j * th))
+        err = np.linalg.norm(out.values - exact) / np.linalg.norm(exact)
+        assert err < 1e-6
 
 
 def test_evolve_at_time_zero_is_identity(ring_m1, data_ab):
@@ -219,3 +221,31 @@ def test_general_potential_evolution_against_stepper():
     orc = crank_nicolson_oracle(data, u0, 0.5)
     ev = evolve(data, u0, 0.5, r_out=orc.r)
     assert relative_l2_difference(ev, orc) < 1e-3
+
+
+def test_negative_time_with_general_eigendata():
+    a_coeffs = [0.05j, 0.1, 0.45, 0.1, -0.05j]      # 0.45 + 0.2 cos + 0.1 sin 2theta
+    A_coeffs = np.array([0.04, 0.3, 0.04])          # 0.3 + 0.08 cos
+    p = build_potential(a_coeffs=a_coeffs, A_coeffs=A_coeffs)
+    data = from_spectrum(compute_spectrum(p, 48))
+    u0 = gaussian_ring(5.0, 1.0, 1280, 12.0, n_theta=64, angular_mode=0)
+    cn = crank_nicolson_oracle(data, u0, -0.5)
+    # every 4th stepper radius: the series route is pointwise in r
+    sub = dataclasses.replace(cn, r=cn.r[::4], values=cn.values[::4])
+    ev = evolve(data, u0, -0.5, r_out=sub.r)
+    assert ev.t == -0.5
+    assert relative_l2_difference(ev, sub) < 1e-3
+
+    # the reversed-field spectrum re-solved from scratch, then conjugated back
+    flipped = from_spectrum(compute_spectrum(
+        build_potential(a_coeffs=a_coeffs, A_coeffs=-A_coeffs), 48))
+    mirror = evolve(flipped, dataclasses.replace(u0, values=np.conj(u0.values)), 0.5,
+                    r_out=sub.r)
+    resolved = dataclasses.replace(mirror, values=np.conj(mirror.values), t=-0.5)
+    assert relative_l2_difference(ev, resolved) < 1e-10
+
+    l2_0 = u0.l2_norm()
+    back, fwd = evolve_result(data, u0, -0.5), evolve_result(data, u0, 0.5)
+    assert back.t == back.field.t == -0.5
+    assert back.l2_norm == pytest.approx(l2_0, rel=1e-8)
+    assert back.l2_norm == pytest.approx(fwd.l2_norm, rel=1e-12)
