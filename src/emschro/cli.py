@@ -4,7 +4,8 @@ Each subcommand loads a config, runs the corresponding experiment, and writes
 CSV tables plus a JSON sidecar (config hash, library versions, discovered
 thresholds) next to every CSV.  Exit codes: 0 all checks passed, 1 checks ran
 but failed, 2 configuration problem, 3 spectral-positivity hypothesis
-violation, 4 numerical-resolution failure.
+violation, 4 numerical-resolution failure, 5 internal error (any other
+exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -36,6 +38,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_HYPOTHESIS = 3
 EXIT_RESOLUTION = 4
+EXIT_INTERNAL = 5
 
 
 def _fmt(x) -> str:
@@ -212,9 +215,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
     rows = []
     for n in range(0, rho.size, step):
         val = scan.row_values[n]
-        bounds = kernel.term_bounds(data, float(rho[n]))
-        cut = kernel.cutoff_index(data, float(rho[n]), sec["tol"])
-        tail = kernel.tail_bound_beyond(data, float(rho[n])) + float(np.sum(bounds[cut:]))
+        cut, tail = kernel.truncation(data, float(rho[n]), sec["tol"])
         rows.append((rho[n], *scan.row_argmax[n], val.real, val.imag, abs(val),
                      cut, tail))
     path = _out(cfg, out_dir, "kernel_scan.csv")
@@ -260,8 +261,6 @@ def cmd_decay(cfg: ExperimentConfig, out_dir: str | None) -> int:
     p = cfg.potential
     dec = galerkin.compute_spectrum(p, sec["M"])
     data = kernel.from_spectrum(dec, count=sec["count"])
-    if sec["preset"] not in ("gaussian_ring", "single_mode_packet"):
-        raise ConfigError(f"unknown initial-data preset {sec['preset']!r}")
     u0 = propagator.gaussian_ring(sec["r0"], sec["w"], sec["n_r"], sec["r_max"],
                                   sec["n_theta"], sec["angular_mode"])
     report = propagator.decay_profile(data, u0, sec["t_list"])
@@ -352,6 +351,9 @@ def main(argv=None) -> int:
     except EmschroError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

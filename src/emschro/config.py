@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .errors import ConfigError
 from .potentials import AngularPotential, build_potential
 
@@ -25,20 +26,19 @@ _POTENTIAL_KEYS = {"a_coeffs", "a_samples", "A_coeffs", "A_samples", "n_modes"}
 
 _SECTION_SCHEMAS = {
     "spectrum": {
-        "M": 64, "j_min": 8, "j_max": 24, "grid_n": 2048, "delta": None,
+        "M": 64, "j_min": 8, "j_max": 24, "grid_n": 2048,
         "cluster_k_min": 10, "cluster_k_max": 40,
         "k_values": None, "j_values": None,
     },
     "wkb": {
         "M": 64, "j_list": [8, 12, 16, 20, 24, -8, -12, -16], "delta": 0.05,
-        "grid_n": None,
     },
     "kernel_scan": {
         "M": 160, "count": None, "rho_max": 50.0, "n_rho": 200, "n_theta": 64,
         "tol": 1e-9, "difference": False, "ells": [4, 8, 16], "full_grid": False,
     },
     "decay": {
-        "M": 48, "count": None, "preset": "gaussian_ring",
+        "M": 48, "count": None,
         "r0": 5.0, "w": 1.0, "r_max": 12.0, "n_r": 4096, "n_theta": 64,
         "angular_mode": 0, "t_list": [0.1, 1.0, 10.0, 100.0],
         "oracle": False, "oracle_t": 0.5, "snapshots": False,
@@ -56,7 +56,6 @@ class ExperimentConfig:
     output_dir: str
     seed: int
     sections: dict = field(repr=False)
-    raw: dict = field(repr=False)
 
     def section(self, name: str) -> dict:
         return self.sections[name]
@@ -135,7 +134,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     sections = {name: _check_section(name, doc.get(name, {}))
                 for name in _SECTION_SCHEMAS}
     return ExperimentConfig(potential=potential, output_dir=output_dir, seed=seed,
-                            sections=sections, raw=doc)
+                            sections=sections)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -150,5 +149,19 @@ def load_config(path) -> ExperimentConfig:
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    canon = json.dumps(cfg.raw, sort_keys=True, separators=(",", ":"))
+    """SHA-256 of what a run depends on: the merged config and the package version.
+
+    Omitting a key and spelling out its default hash alike; a changed default
+    or a new release changes the hash.
+    """
+    p = cfg.potential
+    doc = {
+        "version": __version__,
+        "potential": {name: np.column_stack([c.real, c.imag]).tolist()
+                      for name, c in (("a", p.a_coeffs), ("A", p.A_coeffs))},
+        "output_dir": cfg.output_dir,
+        "seed": cfg.seed,
+        "sections": cfg.sections,
+    }
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()

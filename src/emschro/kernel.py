@@ -169,11 +169,12 @@ def term_bounds(data: KernelEigendata, rho: float) -> np.ndarray:
     ]) * data.sup_bounds ** 2
 
 
-def cutoff_index(data: KernelEigendata, rho: float, tol: float) -> int:
-    """Number of leading terms needed so the discarded remainder stays below tol.
+def truncation(data: KernelEigendata, rho: float, tol: float) -> tuple[int, float]:
+    """Leading-term count n and the certified bound on what the terms past n drop.
 
-    Counts computed-mode majorants from the back plus the beyond-data tail;
-    raises InsufficientResolution if even the full data cannot certify tol.
+    n keeps the discarded computed-mode majorants plus the beyond-data tail
+    below tol; the bound is sum_{k>=n} term_bounds + tail_bound_beyond.
+    Raises InsufficientResolution if even the full data cannot certify tol.
     """
     beyond = tail_bound_beyond(data, rho)
     if not beyond < tol:
@@ -182,15 +183,16 @@ def cutoff_index(data: KernelEigendata, rho: float, tol: float) -> int:
             f"beyond-data tail bound {beyond:.2e} (compute more modes)"
         )
     bounds = term_bounds(data, rho)
-    budget = tol - beyond
-    acc = 0.0
-    n = data.count
-    for k in range(data.count - 1, -1, -1):
-        if acc + bounds[k] > budget:
-            break
-        acc += bounds[k]
-        n = k
-    return max(n, 1)
+    # suffix[k] sums bounds[k:] from the back; it grows as k falls, so the
+    # terms past n are the longest run from the back that fits the budget
+    suffix = np.cumsum(bounds[::-1])[::-1]
+    n = max(int(np.count_nonzero(suffix > tol - beyond)), 1)
+    return n, float(np.sum(bounds[n:])) + beyond
+
+
+def cutoff_index(data: KernelEigendata, rho: float, tol: float) -> int:
+    """Number of leading terms needed so the discarded remainder stays below tol."""
+    return truncation(data, rho, tol)[0]
 
 
 @dataclass(frozen=True)
@@ -203,30 +205,20 @@ class KernelValue:
 def kernel_value(data: KernelEigendata, rho: float, theta: float, theta_prime: float,
                  tol: float = DEFAULT_TOL) -> KernelValue:
     """Single-point kernel evaluation with certified truncation error."""
-    if rho < 0:
-        raise InvalidInput("rho must be nonnegative")
-    n = cutoff_index(data, rho, tol)
-    beyond = tail_bound_beyond(data, rho)
-    dropped = float(np.sum(term_bounds(data, rho)[n:])) + beyond
-    pv = data.psi_values(np.array([theta]))[:n, 0]
-    pw = data.psi_values(np.array([theta_prime]))[:n, 0]
-    val = 0.0 + 0.0j
-    for k in range(n):
-        b = float(data.beta[k])
-        val += i_power(b) * bessel.bessel_j(b, rho).value * pv[k] * np.conj(pw[k])
-    return KernelValue(value=complex(val), terms_used=n, tail_bound=dropped)
+    n, dropped = truncation(data, rho, tol)
+    K = evaluate_grid(data, np.array([rho]), np.array([theta]), np.array([theta_prime]), tol)
+    return KernelValue(value=complex(K[0, 0, 0]), terms_used=n, tail_bound=dropped)
 
 
 def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, tol: float) -> np.ndarray:
     """Matrix i^{-beta_k} J_{beta_k}(rho_r), zeroed beyond the per-rho cutoff."""
     rho = np.asarray(rho, dtype=float)
-    n_max = max(cutoff_index(data, float(np.max(rho)), tol), 1)
-    W = np.zeros((n_max, rho.size), dtype=complex)
     cuts = np.array([cutoff_index(data, float(r), tol) for r in rho])
+    n_max = int(cuts.max())
+    W = np.zeros((n_max, rho.size), dtype=complex)
     for k in range(n_max):
         b = float(data.beta[k])
-        vals = bessel.j_grid(b, rho)
-        W[k] = i_power(b) * vals
+        W[k] = i_power(b) * bessel.j_grid(b, rho)
         W[k, cuts <= k] = 0.0
     return W
 

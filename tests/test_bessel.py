@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,7 @@ FROZEN = [
 
 @pytest.mark.parametrize("nu,r,ref", FROZEN)
 def test_frozen_point_values(nu, r, ref):
-    ev = bessel.bessel_j(nu, r)
-    assert ev.value == pytest.approx(ref, rel=2e-12, abs=1e-15)
-    assert abs(ev.value - ref) <= max(ev.est_abs_err, 5e-13)
+    assert float(bessel.j_grid(nu, r)) == pytest.approx(ref, rel=2e-12, abs=1e-15)
 
 
 def test_half_order_closed_form():
@@ -36,10 +35,21 @@ def test_half_order_closed_form():
 
 def test_grid_matches_scalar_route():
     r = np.linspace(0.0, 30.0, 97)
-    for nu in (0.0, 0.3, 4.5, 17.0):
-        grid = bessel.j_grid(nu, r)
-        scalar = np.array([bessel.bessel_j(nu, x).value for x in r])
-        assert np.allclose(grid, scalar, atol=2e-12, rtol=0.0)
+    with mpmath.workdps(30):
+        for nu in (0.0, 0.3, 4.5, 17.0):
+            grid = bessel.j_grid(nu, r)
+            ref = np.array([float(mpmath.besselj(nu, x)) for x in r])
+            assert np.allclose(grid, ref, atol=2e-12, rtol=0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(0.0, 300.0), frac=st.floats(0.0, 1.5))
+def test_grid_matches_mpmath_across_the_switch(nu, frac):
+    # r = frac * switch radius: the series regime below 1, scipy's above
+    r = frac * bessel.series_switch_radius(nu)
+    with mpmath.workdps(30):
+        ref = float(mpmath.besselj(nu, r))
+    assert abs(float(bessel.j_grid(nu, r)) - ref) <= 2e-12
 
 
 def test_regime_switch_is_seamless():
@@ -55,11 +65,11 @@ def test_regime_switch_is_seamless():
 
 def test_order_and_argument_validation():
     with pytest.raises(UnsupportedOrder):
-        bessel.bessel_j(-0.5, 1.0)
+        bessel.j_grid(-0.5, 1.0)
     with pytest.raises(UnsupportedOrder):
-        bessel.bessel_j(float("nan"), 1.0)
+        bessel.j_grid(float("nan"), 1.0)
     with pytest.raises(InvalidInput):
-        bessel.bessel_j(0.5, -1.0)
+        bessel.j_grid(0.5, -1.0)
 
 
 def test_tail_bound_frozen_values():
@@ -71,7 +81,7 @@ def test_tail_bound_frozen_values():
 @settings(max_examples=40, deadline=None)
 @given(nu=st.floats(0.0, 40.0), r=st.floats(0.0, 60.0))
 def test_majorant_dominates(nu, r):
-    val = bessel.bessel_j(nu, r).value
+    val = float(bessel.j_grid(nu, r))
     log_bound = nu * math.log(r / 2.0) - math.lgamma(nu + 1.0) if r / 2.0 > 0 else (
         0.0 if nu == 0.0 else -math.inf)
     bound = math.exp(log_bound) if log_bound > -700 else 0.0
@@ -81,8 +91,8 @@ def test_majorant_dominates(nu, r):
 @settings(max_examples=30, deadline=None)
 @given(nu=st.floats(1.0, 30.0), r=st.floats(0.5, 50.0))
 def test_three_term_recurrence(nu, r):
-    lhs = bessel.bessel_j(nu - 1.0, r).value + bessel.bessel_j(nu + 1.0, r).value
-    rhs = (2.0 * nu / r) * bessel.bessel_j(nu, r).value
+    lhs = float(bessel.j_grid(nu - 1.0, r) + bessel.j_grid(nu + 1.0, r))
+    rhs = (2.0 * nu / r) * float(bessel.j_grid(nu, r))
     assert lhs == pytest.approx(rhs, abs=5e-9)
 
 

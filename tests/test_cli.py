@@ -122,6 +122,17 @@ def test_exit_code_config_errors(tmp_path):
     assert cli.main(["spectrum", bad]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("spectrum", "delta", 0.05), ("wkb", "grid_n", 512), ("decay", "preset", "gaussian_ring"),
+])
+def test_keys_that_changed_nothing_are_config_errors(tmp_path, section, key, value):
+    cfg = write_config(tmp_path, "removed.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        section: {key: value},
+    })
+    assert cli.main([section, cfg]) == cli.EXIT_CONFIG
+
+
 def test_exit_code_resolution_failure(ab_config):
     # 256 radial points cannot satisfy the sampling rule at t = 0.1
     assert cli.main(["decay", ab_config]) == cli.EXIT_RESOLUTION
@@ -139,3 +150,19 @@ def test_validate_maps_results_to_exit_code(monkeypatch):
     assert cli.main(["validate"]) == cli.EXIT_PASS
     monkeypatch.setattr(acceptance, "run_all", fake_one_fail)
     assert cli.main(["validate"]) == cli.EXIT_FAIL
+
+
+def test_uncaught_exception_is_an_internal_error(ab_config, monkeypatch, capsys):
+    def broken(*args, **kw):
+        raise np.linalg.LinAlgError("eigh did not converge")
+
+    monkeypatch.setattr(galerkin, "compute_spectrum", broken)
+    assert cli.main(["spectrum", ab_config]) == cli.EXIT_INTERNAL
+    assert "LinAlgError: eigh did not converge" in capsys.readouterr().err
+
+    def interrupted(*args, **kw):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(galerkin, "compute_spectrum", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["spectrum", ab_config])

@@ -1,11 +1,14 @@
 """JSON experiment configs: schema validation and canonical hashing."""
 
+import ast
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from emschro.config import config_hash, load_config, parse_config
+from emschro import cli
+from emschro.config import _SECTION_SCHEMAS, config_hash, load_config, parse_config
 from emschro.errors import ConfigError
 
 GOOD = {
@@ -30,7 +33,6 @@ def test_section_defaults_are_merged():
     sec = cfg.section("spectrum")
     assert sec["M"] == 32          # explicit override
     assert sec["j_min"] == 8       # schema default
-    assert cfg.section("decay")["preset"] == "gaussian_ring"
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -101,3 +103,26 @@ def test_config_hash_is_order_insensitive_and_content_sensitive(tmp_path):
     changed = json.loads(json.dumps(GOOD))
     changed["seed"] = 4
     assert config_hash(parse_config(changed)) != config_hash(cfg1)
+
+
+def test_config_hash_sees_defaults_not_spelling():
+    explicit = {**GOOD, "spectrum": {"M": 32, "j_min": 8}, "decay": {"r0": 5.0}}
+    assert config_hash(parse_config(explicit)) == config_hash(parse_config(GOOD))
+    changed = {**GOOD, "decay": {"r0": 6.0}}
+    assert config_hash(parse_config(changed)) != config_hash(parse_config(GOOD))
+
+
+def _keys_read(fn) -> set:
+    """String keys subscripted on the name `sec` in fn's source."""
+    tree = ast.parse(inspect.getsource(fn))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == "sec" and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_section_key_is_read_by_its_command():
+    commands = {"spectrum": cli.cmd_spectrum, "wkb": cli.cmd_wkb,
+                "kernel_scan": cli.cmd_kernel_scan, "decay": cli.cmd_decay}
+    assert set(commands) == set(_SECTION_SCHEMAS)
+    for name, fn in commands.items():
+        assert _keys_read(fn) == set(_SECTION_SCHEMAS[name]), name

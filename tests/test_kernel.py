@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from emschro.errors import HypothesisViolation, InsufficientResolution, InvalidInput
 from emschro.galerkin import compute_spectrum
@@ -107,10 +108,13 @@ def test_evaluate_grid_matches_pointwise():
     thp = np.array([0.0, 0.7])
     grid = evaluate_grid(data, rho, th, thp)
     assert grid.shape == (3, 3, 2)
+    # every retained mode summed directly, with scipy's J and e^{ik(t - t')} / 2 pi
+    weights = np.array([i_power(b) for b in data.beta])
     for i, r in enumerate(rho):
         for j, t in enumerate(th):
             for l, tp in enumerate(thp):
-                ref = kernel_value(data, float(r), float(t), float(tp)).value
+                ref = np.sum(weights * jv(data.beta, r)
+                             * np.exp(1j * data.ab_modes * (t - tp))) / (2.0 * np.pi)
                 assert grid[i, j, l] == pytest.approx(ref, abs=1e-8)
 
 
