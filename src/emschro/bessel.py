@@ -17,15 +17,17 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import jv as _scipy_jv
 
-from .errors import UnsupportedOrder, InvalidInput
+from .errors import InvalidInput, NoConvergence, UnsupportedOrder
 
 SERIES_SWITCH_FLOOR = 12.0
 
 
 def _check_order(nu) -> float:
+    if isinstance(nu, (complex, np.complexfloating)):
+        if nu.imag != 0:
+            raise UnsupportedOrder("complex order is not supported")
+        nu = nu.real
     nuf = float(nu)
-    if isinstance(nu, complex) and nu.imag != 0:
-        raise UnsupportedOrder("complex order is not supported")
     if nuf < 0:
         raise UnsupportedOrder(f"negative order {nuf} is not supported")
     if not math.isfinite(nuf):
@@ -61,12 +63,26 @@ def _series_vec(nu: float, r: np.ndarray) -> np.ndarray:
     t = np.where(log_t0 > -745.0, np.exp(np.maximum(log_t0, -745.0)), 0.0)
     if nu == 0.0:
         t = np.where(r == 0.0, 1.0, t)
-    x2 = half * half
+    neg_x2 = -(half * half)
+    n_terms = min(int(np.max(half) * math.e + 30), 500) if r.size else 1
+    # |t_m| grows only while m (nu + m) < x^2, so every radius peaks by m = max(x) + 1
+    m_rise = int(np.max(half)) + 1 if r.size else 0
+    del half, log_t0   # the loop below holds five arrays of r's size, in place
     s = t.copy()
-    n_terms = int(np.max(half) * math.e + 30) if r.size else 1
-    for m in range(1, min(n_terms, 500) + 1):
-        t = t * (-x2) / (m * (nu + m))
-        s += t
+    biggest = np.abs(t)
+    abs_t = np.empty_like(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, n_terms + 1):
+            np.multiply(t, neg_x2, out=t)
+            np.divide(t, m * (nu + m), out=t)
+            s += t
+            if m <= m_rise:
+                np.maximum(biggest, np.abs(t, out=abs_t), out=biggest)
+    biggest *= 2.0 ** -52
+    if not np.all(np.isfinite(s) & (np.abs(t, out=abs_t) <= biggest)):
+        raise NoConvergence(
+            f"J_{nu} power series not converged after {n_terms} terms "
+            f"(largest radius {float(np.max(r))})")
     return s
 
 

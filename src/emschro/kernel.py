@@ -206,14 +206,13 @@ def kernel_value(data: KernelEigendata, rho: float, theta: float, theta_prime: f
                  tol: float = DEFAULT_TOL) -> KernelValue:
     """Single-point kernel evaluation with certified truncation error."""
     n, dropped = truncation(data, rho, tol)
-    K = evaluate_grid(data, np.array([rho]), np.array([theta]), np.array([theta_prime]), tol)
+    W = _weights_on_rho(data, np.array([float(rho)]), np.array([n]))
+    K = _mode_sum(data, W, np.array([theta]), np.array([theta_prime]))
     return KernelValue(value=complex(K[0, 0, 0]), terms_used=n, tail_bound=dropped)
 
 
-def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, tol: float) -> np.ndarray:
-    """Matrix i^{-beta_k} J_{beta_k}(rho_r), zeroed beyond the per-rho cutoff."""
-    rho = np.asarray(rho, dtype=float)
-    cuts = np.array([cutoff_index(data, float(r), tol) for r in rho])
+def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Matrix i^{-beta_k} J_{beta_k}(rho_r), zeroed from each rho's cutoff on."""
     n_max = int(cuts.max())
     W = np.zeros((n_max, rho.size), dtype=complex)
     for k in range(n_max):
@@ -223,14 +222,21 @@ def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, tol: float) -> np.nd
     return W
 
 
-def evaluate_grid(data: KernelEigendata, rho: np.ndarray, theta: np.ndarray,
-                  theta_prime: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """K on a product grid; returns complex array (len(rho), len(theta), len(theta_prime))."""
-    W = _weights_on_rho(data, rho, tol)
+def _mode_sum(data: KernelEigendata, W: np.ndarray, theta: np.ndarray,
+              theta_prime: np.ndarray) -> np.ndarray:
+    """sum_k W[k, r] psi_k(theta) conj psi_k(theta') over the rows of W."""
     n = W.shape[0]
     P = data.psi_values(np.asarray(theta, dtype=float))[:n]
     Q = data.psi_values(np.asarray(theta_prime, dtype=float))[:n]
     return np.einsum("kr,kt,ks->rts", W, P, np.conj(Q), optimize=True)
+
+
+def evaluate_grid(data: KernelEigendata, rho: np.ndarray, theta: np.ndarray,
+                  theta_prime: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """K on a product grid; returns complex array (len(rho), len(theta), len(theta_prime))."""
+    rho = np.asarray(rho, dtype=float)
+    cuts = np.array([cutoff_index(data, float(r), tol) for r in rho])
+    return _mode_sum(data, _weights_on_rho(data, rho, cuts), theta, theta_prime)
 
 
 # -- scans -----------------------------------------------------------------------

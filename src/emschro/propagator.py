@@ -8,7 +8,10 @@ angular eigenbasis, u0(r', theta') = sum_k a_k(r') psi_k(theta'), then
 
 Evaluation runs in the variable s = r/(2t): the radial integral is band-limited
 in s by the source support, so a uniform s grid with spacing pi/(4 r'_max) is
-spectrally adequate, and the L^2 norm follows from the same samples.
+spectrally adequate, and the L^2 norm follows from the same samples.  Per t,
+the quadrature reads only every m-th source point, for the largest stride m
+that the source-resolution rule, the mode supports and the modes' own
+bandwidth allow (`_source_stride`).
 
 Negative times are handled once, in `_evolve_core`: for real a and A the
 reversed field -A has the eigendata (mu_k, conj psi_k) exactly, so
@@ -33,6 +36,7 @@ from .kernel import KernelEigendata
 from .potentials import AngularPotential, theta_grid
 
 MODE_KEEP_RTOL = 1e-12
+SUPPORT_RTOL = 1e-15         # source samples below this fraction of a row's peak are skipped
 ANGULAR_DEFECT_TOL = 1e-6    # smallest detectable out-of-basis L2 fraction (sqrt eps floor)
 S_OVERSAMPLE = 4.0           # s spacing = pi / (S_OVERSAMPLE * r'_max)
 SRC_SAMPLES_PER_PERIOD = 16  # source grid rule vs fastest integrand oscillation
@@ -164,6 +168,42 @@ def _check_source_resolution(u0: PolarField, s_max: float, t: float) -> None:
         )
 
 
+def _source_stride(a_keep: np.ndarray, r_src: np.ndarray, s_max: float, t: float) -> int:
+    """Largest stride m whose sub-grid r_src[m-1::m] still resolves every row.
+
+    The sub-grid must pass `required_source_points` at its own last radius,
+    hold each row's support (the SUPPORT_RTOL threshold of `_hankel_integrals`),
+    and leave at most MODE_KEEP_RTOL of each row's ell^2 spectrum above its
+    Nyquist: the rule covers the J and chirp oscillation, not the bandwidth of
+    a_k itself.  Returns 1 if no m > 1 does.
+    """
+    n = r_src.size
+    mag = np.abs(a_keep)
+    live = mag > SUPPORT_RTOL * mag.max(axis=1, keepdims=True, initial=0.0)
+    if n < 2 or not live.any():
+        return 1
+    last = int(np.flatnonzero(live.any(axis=0))[-1])
+    # stride m keeps the folded bins q = min(j, n - j) <= n / 2m; above[:, q]
+    # is each row's energy in the bins past q
+    power = np.abs(np.fft.fft(a_keep, axis=1)) ** 2
+    folded = power[:, :n // 2 + 1]
+    folded[:, 1:(n + 1) // 2] += power[:, :n // 2:-1]
+    above = np.cumsum(folded[:, ::-1], axis=1)[:, ::-1] - folded
+    fits = np.all(above <= MODE_KEEP_RTOL ** 2 * folded.sum(axis=1, keepdims=True), axis=0)
+    q_min = int(np.argmax(fits))
+    # reaching r_src[last] takes at least the points the rule asks for there,
+    # and the quadrature needs two
+    m_hi = n // max(required_source_points(float(r_src[last]), s_max, t), 2)
+    if q_min > 0:
+        m_hi = min(m_hi, n // (2 * q_min))
+    for m in range(m_hi, 1, -1):
+        n_sub = n // m
+        end = m * n_sub - 1
+        if end >= last and required_source_points(float(r_src[end]), s_max, t) <= n_sub:
+            return m
+    return 1
+
+
 def _flip_eigendata(data: KernelEigendata) -> KernelEigendata:
     """Eigendata of the magnetically reversed operator, by exact conjugation.
 
@@ -187,7 +227,7 @@ def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
         # restrict to the support of this mode's profile
         mag = np.abs(a[i])
         peak = float(mag.max()) if mag.size else 0.0
-        nz = np.flatnonzero(mag > 1e-15 * peak)
+        nz = np.flatnonzero(mag > SUPPORT_RTOL * peak)
         if nz.size == 0:
             out[i] = 0.0
             continue
@@ -239,16 +279,16 @@ def _evaluation_grid(u0: PolarField, t: float) -> np.ndarray:
 
 def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
                  r_out: np.ndarray | None):
-    """Evolution internals: (field, s grid, I rows, a rows, kept indices).
+    """Evolution internals: (field, s grid, I rows, source radii, a rows, kept indices).
 
-    For t < 0, s, I and a are those of the |t| mirror run (reversed field,
-    conj u0), so `_modal_masses` at |t| applies to them unchanged.
+    The source radii and the kept a rows are the sub-grid `_source_stride`
+    chose for this t.  For t < 0 they, s and I are those of the |t| mirror
+    run (reversed field, conj u0), so `_modal_masses` at |t| applies unchanged.
     """
     if t < 0.0:
-        mirror, s, I, a, keep = _evolve_core(
+        mirror, s, I, r_src, a, keep = _evolve_core(
             _flip_eigendata(data), replace(u0, values=np.conj(u0.values)), -t, r_out)
-        return replace(mirror, values=np.conj(mirror.values), t=t), s, I, a, keep
-    r_src = u0.r
+        return replace(mirror, values=np.conj(mirror.values), t=t), s, I, r_src, a, keep
     if r_out is None:
         s = _evaluation_grid(u0, t)
     else:
@@ -256,16 +296,19 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
         if np.any(r_out < 0):
             raise InvalidInput("output radii must be nonnegative")
         s = r_out / (2.0 * t)
-    _check_source_resolution(u0, float(np.max(s)), t)
+    s_max = float(np.max(s))
+    _check_source_resolution(u0, s_max, t)
 
     a = modal_coefficients(data, u0)
     keep = _retained_modes(data, a, u0)
-    I = _hankel_integrals(data.beta[keep], a[keep], r_src, t, s)
+    m = _source_stride(a[keep], u0.r, s_max, t)
+    r_src, a = u0.r[m - 1::m], a[keep, m - 1::m]
+    I = _hankel_integrals(data.beta[keep], a, r_src, t, s)
     phases = np.array([kernel.i_power(float(b)) for b in data.beta[keep]])
     Psi = data.psi_values(u0.thetas())[keep]
     prefac = np.exp(1j * t * s ** 2) / (2.0j * t)
     values = np.einsum("s,k,ks,kj->sj", prefac, phases, I, Psi, optimize=True)
-    return PolarField(r=2.0 * t * s, values=values, t=t), s, I, a, keep
+    return PolarField(r=2.0 * t * s, values=values, t=t), s, I, r_src, a, keep
 
 
 def evolve(data: KernelEigendata, u0: PolarField, t: float,
@@ -273,8 +316,7 @@ def evolve(data: KernelEigendata, u0: PolarField, t: float,
     """Apply the flow for time t via the Bessel-series representation."""
     if t == 0.0:
         return replace(u0, t=0.0)
-    field, _, _, _, _ = _evolve_core(data, u0, t, r_out)
-    return field
+    return _evolve_core(data, u0, t, r_out)[0]
 
 
 def free_evolution(u0: PolarField, t: float, r_out: np.ndarray | None = None) -> PolarField:
@@ -410,8 +452,8 @@ def evolve_result(data: KernelEigendata, u0: PolarField, t: float) -> EvolutionR
         return EvolutionResult(t=0.0, field=replace(u0, t=0.0), sup_norm=u0.sup_norm(),
                                l2_norm=u0.l2_norm(), decay_functional=0.0)
     l1 = u0.l1_norm()
-    field, s, I, a, keep = _evolve_core(data, u0, t, None)
-    masses = _modal_masses(data.beta[keep], a[keep], u0.r, abs(t), s, I)
+    field, s, I, r_src, a, keep = _evolve_core(data, u0, t, None)
+    masses = _modal_masses(data.beta[keep], a, r_src, abs(t), s, I)
     sup = field.sup_norm()
     return EvolutionResult(t=float(t), field=field, sup_norm=sup,
                            l2_norm=math.sqrt(float(np.sum(masses))),

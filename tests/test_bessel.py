@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emschro import bessel
-from emschro.errors import InvalidInput, UnsupportedOrder
+from emschro.errors import InvalidInput, NoConvergence, UnsupportedOrder
 
 # frozen 25-digit references (50-digit working precision, rounded)
 FROZEN = [
@@ -70,6 +70,15 @@ def test_order_and_argument_validation():
         bessel.j_grid(float("nan"), 1.0)
     with pytest.raises(InvalidInput):
         bessel.j_grid(0.5, -1.0)
+    with pytest.raises(UnsupportedOrder):
+        bessel.j_grid(1 + 1j, 1.0)
+    assert bessel.j_grid(complex(1, 0), 1.0) == bessel.j_grid(1.0, 1.0)
+
+
+def test_series_refuses_to_stop_short():
+    # r = 2000 needs far more than the 500-term cap; j_grid routes it to scipy
+    with pytest.raises(NoConvergence):
+        bessel._series_vec(0.0, np.array([2000.0]))
 
 
 def test_tail_bound_frozen_values():

@@ -44,6 +44,15 @@ def test_flux_line_kernel_frozen_points(alpha, rho, th, thp, ref):
     assert kv.terms_used <= data.count
 
 
+def test_kernel_value_is_the_grid_sum_at_one_point():
+    data = ab_eigendata(0.3, 40)
+    for rho, th, thp in [(0.0, 0.3, 1.2), (2.5, 1.1, 0.4), (12.0, 0.1, 5.0)]:
+        grid = evaluate_grid(data, np.array([rho]), np.array([th]), np.array([thp]))
+        kv = kernel_value(data, rho, th, thp)
+        assert kv.value == grid[0, 0, 0]
+        assert kv.terms_used == cutoff_index(data, rho, 1e-9)
+
+
 def test_flux_line_routes_agree():
     """Closed-form eigendata versus the generic route through the dense solver."""
     data_ab = ab_eigendata(0.3, 24)

@@ -11,6 +11,10 @@ from emschro.kernel import ab_eigendata, from_spectrum
 from emschro.potentials import build_potential
 from emschro.propagator import (
     PolarField,
+    _evaluation_grid,
+    _hankel_integrals,
+    _retained_modes,
+    _source_stride,
     crank_nicolson_oracle,
     decay_profile,
     evolve,
@@ -171,6 +175,61 @@ def test_l2_norm_is_conserved(ring_m1, data_ab):
     assert res.l2_norm == pytest.approx(ring_m1.l2_norm(), rel=1e-8)
     assert res.decay_functional == pytest.approx(
         0.5 * res.sup_norm / ring_m1.l1_norm(), rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def ring_3886():
+    """The decay benchmark's ring: 3886 points is the rule's count at t = 0.1."""
+    return gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=64, angular_mode=1)
+
+
+def _stride_inputs(data, u0, t):
+    s = _evaluation_grid(u0, t)
+    a = modal_coefficients(data, u0)
+    keep = _retained_modes(data, a, u0)
+    return a[keep], s, data.beta[keep]
+
+
+def test_source_stride_follows_the_resolution_rule(ring_3886, data_ab):
+    r = ring_3886.r
+    a, s, _ = _stride_inputs(data_ab, ring_3886, 0.1)
+    assert _source_stride(a, r, float(s.max()), 0.1) == 1
+    a, s, _ = _stride_inputs(data_ab, ring_3886, 1.0)
+    m = _source_stride(a, r, float(s.max()), 1.0)
+    assert m > 1
+    sub = r[m - 1::m]
+    assert sub.size >= required_source_points(float(sub[-1]), float(s.max()), 1.0)
+
+
+def test_decimated_hankel_rows_match_the_full_grid(ring_3886, data_ab):
+    t = 1.0
+    r = ring_3886.r
+    a, s, betas = _stride_inputs(data_ab, ring_3886, t)
+    m = _source_stride(a, r, float(s.max()), t)
+    full = _hankel_integrals(betas, a, r, t, s)
+    sub = _hankel_integrals(betas, a[:, m - 1::m], r[m - 1::m], t, s)
+    assert np.max(np.abs(sub - full)) <= 1e-10 * np.max(np.abs(full))
+
+
+def test_spectral_guard_keeps_fast_profiles_whole(ring_3886, data_ab):
+    t = 1.0
+    r = ring_3886.r
+    a, s, _ = _stride_inputs(data_ab, ring_3886, t)
+    # above the stride-2 Nyquist pi / 2dr, below the grid's own pi / dr
+    k = 0.75 * np.pi / (r[1] - r[0])
+    assert _source_stride(a, r, float(s.max()), t) > 1
+    assert _source_stride(a * np.cos(k * r), r, float(s.max()), t) == 1
+
+
+def test_negative_time_result_is_the_mirror_run(ring_m1, data_ab):
+    back = evolve_result(data_ab, ring_m1, -1.0)
+    mirror_u0 = dataclasses.replace(ring_m1, values=np.conj(ring_m1.values))
+    fwd = evolve_result(ab_eigendata(-0.3, 24), mirror_u0, 1.0)
+    assert back.t == back.field.t == -1.0
+    assert np.max(np.abs(back.field.values - np.conj(fwd.field.values))) <= 1e-12 * fwd.sup_norm
+    assert back.sup_norm == pytest.approx(fwd.sup_norm, rel=1e-12)
+    assert back.l2_norm == pytest.approx(fwd.l2_norm, rel=1e-12)
+    assert back.l2_norm == pytest.approx(ring_m1.l2_norm(), rel=1e-8)
 
 
 def test_crank_nicolson_agrees_with_series(data_ab):
