@@ -11,7 +11,10 @@ in s by the source support, so a uniform s grid with spacing pi/(4 r'_max) is
 spectrally adequate, and the L^2 norm follows from the same samples.  Per t,
 the quadrature reads only every m-th source point, for the largest stride m
 that the source-resolution rule, the mode supports and the modes' own
-bandwidth allow (`_source_stride`).
+bandwidth allow (`_source_stride`).  Requested output radii are not
+evaluated one by one: the integrals are computed on that rule's s grid and
+carried onto the requested s by regularised sinc interpolation, under a
+holdout check against direct evaluation (`_interpolated_integrals`).
 
 Negative times are handled once, in `_evolve_core`: for real a and A the
 reversed field -A has the eigendata (mu_k, conj psi_k) exactly, so
@@ -40,6 +43,9 @@ SUPPORT_RTOL = 1e-15         # source samples below this fraction of a row's pea
 ANGULAR_DEFECT_TOL = 1e-6    # smallest detectable out-of-basis L2 fraction (sqrt eps floor)
 S_OVERSAMPLE = 4.0           # s spacing = pi / (S_OVERSAMPLE * r'_max)
 SRC_SAMPLES_PER_PERIOD = 16  # source grid rule vs fastest integrand oscillation
+SINC_TAPS = 32               # regularised-sinc taps per side, rule s grid -> requested s
+HOLDOUT_POINTS = 16          # requested s evaluated directly to check the interpolant
+HOLDOUT_RTOL = 1e-10         # holdout error allowed, relative to the mode's largest sample
 
 
 @dataclass(frozen=True)
@@ -173,9 +179,10 @@ def _source_stride(a_keep: np.ndarray, r_src: np.ndarray, s_max: float, t: float
 
     The sub-grid must pass `required_source_points` at its own last radius,
     hold each row's support (the SUPPORT_RTOL threshold of `_hankel_integrals`),
-    and leave at most MODE_KEEP_RTOL of each row's ell^2 spectrum above its
-    Nyquist: the rule covers the J and chirp oscillation, not the bandwidth of
-    a_k itself.  Returns 1 if no m > 1 does.
+    and leave above its Nyquist no row energy beyond MODE_KEEP_RTOL of the
+    largest row's ell^2 norm (the `_retained_modes` yardstick, so round-off in
+    weak rows does not veto): the rule covers the J and chirp oscillation, not
+    the bandwidth of a_k itself.  Returns 1 if no m > 1 does.
     """
     n = r_src.size
     mag = np.abs(a_keep)
@@ -189,7 +196,7 @@ def _source_stride(a_keep: np.ndarray, r_src: np.ndarray, s_max: float, t: float
     folded = power[:, :n // 2 + 1]
     folded[:, 1:(n + 1) // 2] += power[:, :n // 2:-1]
     above = np.cumsum(folded[:, ::-1], axis=1)[:, ::-1] - folded
-    fits = np.all(above <= MODE_KEEP_RTOL ** 2 * folded.sum(axis=1, keepdims=True), axis=0)
+    fits = np.all(above <= MODE_KEEP_RTOL ** 2 * folded.sum(axis=1).max(), axis=0)
     q_min = int(np.argmax(fits))
     # reaching r_src[last] takes at least the points the rule asks for there,
     # and the quadrature needs two
@@ -241,6 +248,65 @@ def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
     return out
 
 
+def _direct_integrals(betas: np.ndarray, a: np.ndarray, r_full: np.ndarray,
+                      t: float, s: np.ndarray):
+    """(source radii, a rows, I on s) on the sub-grid `_source_stride` picks for max(s)."""
+    m = _source_stride(a, r_full, float(np.max(s)), t)
+    r_src, a = r_full[m - 1::m], a[:, m - 1::m]
+    return r_src, a, _hankel_integrals(betas, a, r_src, t, s)
+
+
+def _sinc_interpolate(p: np.ndarray, h: float, s: np.ndarray, parity: np.ndarray) -> np.ndarray:
+    """Rows sampled at h (j + 1/2), j >= 0, evaluated at arbitrary s >= 0.
+
+    Row k continues to s < 0 as p(-s) = parity[k] p(s), so the half-offset
+    samples mirror exactly.  The kernel is sinc times a Gaussian of variance
+    SINC_TAPS / (pi - pi/S_OVERSAMPLE) over 2 SINC_TAPS taps; for rows of
+    exponential type pi / (S_OVERSAMPLE h) its error falls like
+    exp(-(pi - pi/S_OVERSAMPLE) SINC_TAPS / 2) (L. Qian, Proc. AMS 131, 2003).
+    """
+    x = s / h - 0.5
+    var = SINC_TAPS / (math.pi - math.pi / S_OVERSAMPLE)
+    base = np.floor(x).astype(int)
+    out = np.zeros((p.shape[0], s.size), dtype=complex)
+    for off in range(1 - SINC_TAPS, SINC_TAPS + 1):
+        j = base + off
+        d = x - j
+        w = np.sinc(d) * np.exp(-d * d / (2.0 * var))
+        mirrored = j < 0
+        sign = np.where(mirrored[None, :], parity[:, None], 1.0)
+        out += sign * p[:, np.where(mirrored, -1 - j, j)] * w
+    return out
+
+
+def _interpolated_integrals(betas: np.ndarray, a: np.ndarray, r_full: np.ndarray,
+                            t: float, s: np.ndarray):
+    """(source radii, a rows, I on s) from the rule's s grid, or None to go direct.
+
+    I_k is of exponential type r'_max in s.  With beta = n + f, n = floor(beta),
+    p_k = I_k / s^f is entire with parity (-1)^n, so it is computed on
+    s_c = h (j + 1/2), h = pi / (S_OVERSAMPLE r'_max), interpolated onto s and
+    multiplied back by s^f.  None when that grid is not smaller than s, when
+    the source grid does not resolve its last s, or when the interpolant misses
+    direct evaluation at HOLDOUT_POINTS requested s by more than HOLDOUT_RTOL
+    of a mode's largest sample.
+    """
+    h = math.pi / (S_OVERSAMPLE * float(r_full[-1]))
+    s_c = h * (np.arange(int(math.ceil(float(np.max(s)) / h)) + SINC_TAPS + 1) + 0.5)
+    if s_c.size >= s.size or required_source_points(
+            float(r_full[-1]), float(s_c[-1]), t) > r_full.size:
+        return None
+    r_src, a, I_c = _direct_integrals(betas, a, r_full, t, s_c)
+    n = np.floor(betas)
+    frac = (betas - n)[:, None]
+    I = _sinc_interpolate(I_c / s_c ** frac, h, s, 1.0 - 2.0 * (n % 2)) * s ** frac
+    hold = np.unique(np.linspace(0, s.size - 1, HOLDOUT_POINTS).round().astype(int))
+    miss = np.abs(_hankel_integrals(betas, a, r_src, t, s[hold]) - I[:, hold])
+    if np.any(miss > HOLDOUT_RTOL * np.abs(I_c).max(axis=1, keepdims=True)):
+        return None
+    return r_src, a, I
+
+
 def _zeta_negative(p: float) -> float:
     """zeta(-p) for p > 0 via the reflection formula."""
     from scipy.special import zeta
@@ -282,7 +348,8 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
     """Evolution internals: (field, s grid, I rows, source radii, a rows, kept indices).
 
     The source radii and the kept a rows are the sub-grid `_source_stride`
-    chose for this t.  For t < 0 they, s and I are those of the |t| mirror
+    chose for this t and the s grid the quadrature ran on (the rule's grid
+    when `r_out` was interpolated).  For t < 0 they, s and I are those of the |t| mirror
     run (reversed field, conj u0), so `_modal_masses` at |t| applies unchanged.
     """
     if t < 0.0:
@@ -296,15 +363,14 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
         if np.any(r_out < 0):
             raise InvalidInput("output radii must be nonnegative")
         s = r_out / (2.0 * t)
-    s_max = float(np.max(s))
-    _check_source_resolution(u0, s_max, t)
+    _check_source_resolution(u0, float(np.max(s)), t)
 
     a = modal_coefficients(data, u0)
     keep = _retained_modes(data, a, u0)
-    m = _source_stride(a[keep], u0.r, s_max, t)
-    r_src, a = u0.r[m - 1::m], a[keep, m - 1::m]
-    I = _hankel_integrals(data.beta[keep], a, r_src, t, s)
-    phases = np.array([kernel.i_power(float(b)) for b in data.beta[keep]])
+    betas, a = data.beta[keep], a[keep]   # frees the all-mode matrix before the quadrature
+    routed = None if r_out is None else _interpolated_integrals(betas, a, u0.r, t, s)
+    r_src, a, I = routed or _direct_integrals(betas, a, u0.r, t, s)
+    phases = np.array([kernel.i_power(float(b)) for b in betas])
     Psi = data.psi_values(u0.thetas())[keep]
     prefac = np.exp(1j * t * s ** 2) / (2.0j * t)
     values = np.einsum("s,k,ks,kj->sj", prefac, phases, I, Psi, optimize=True)
@@ -409,7 +475,7 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     values = out_modes.T @ Psi
     field = PolarField(r=r, values=values, t=t)
     # reflection monitor: mass within 2% of the wall must be negligible
-    edge = max(int(0.98 * n_r), n_r - 1)
+    edge = min(int(0.98 * n_r), n_r - 1)
     edge_mass = float(np.sum(np.abs(out_modes[:, edge:]) ** 2 * r[edge:]) * dr)
     total_mass = float(np.sum(np.abs(out_modes) ** 2 * r) * dr)
     if total_mass > 0.0 and edge_mass > 1e-8 * total_mass:

@@ -8,11 +8,16 @@ import pytest
 from emschro.errors import InsufficientResolution, InvalidInput, ResolutionError
 from emschro.galerkin import compute_spectrum
 from emschro.kernel import ab_eigendata, from_spectrum
+from emschro import propagator
 from emschro.potentials import build_potential
 from emschro.propagator import (
+    HOLDOUT_POINTS,
+    S_OVERSAMPLE,
+    SINC_TAPS,
     PolarField,
     _evaluation_grid,
     _hankel_integrals,
+    _interpolated_integrals,
     _retained_modes,
     _source_stride,
     crank_nicolson_oracle,
@@ -221,6 +226,73 @@ def test_spectral_guard_keeps_fast_profiles_whole(ring_3886, data_ab):
     assert _source_stride(a * np.cos(k * r), r, float(s.max()), t) == 1
 
 
+def test_weak_rows_do_not_veto_decimation(ring_3886, data_ab):
+    t = 1.0
+    r = ring_3886.r
+    a, s, _ = _stride_inputs(data_ab, ring_3886, t)
+    # a second row at 1e-7 of the first, with round-off-sized content above
+    # the stride-2 Nyquist: 1e-9 of its own norm, 1e-16 of the first row's
+    k = 0.75 * np.pi / (r[1] - r[0])
+    two = np.vstack([a[0], 1e-7 * a[0] * (1.0 + 1e-9 * np.cos(k * r))])
+    m = _source_stride(a, r, float(s.max()), t)
+    assert m > 1
+    assert _source_stride(two, r, float(s.max()), t) == m
+
+
+def test_interpolated_integrals_match_direct_evaluation():
+    t = 1.0
+    u0 = gaussian_ring(5.0, 1.0, 1024, 12.0, n_theta=4)
+    betas = np.array([0.0, 0.3, 1.0, 3.3, 4.55, 9.25])
+    a = np.tile(u0.values[:, 0], (betas.size, 1))
+    rng = np.random.default_rng(7)
+    for r_out in (np.linspace(0.0, 16.0, 501), np.sort(rng.uniform(0.0, 18.0, 400))):
+        s = r_out / (2.0 * t)
+        r_src, a_sub, interpolated = _interpolated_integrals(betas, a, u0.r, t, s)
+        direct = _hankel_integrals(betas, a_sub, r_src, t, s)
+        err = np.max(np.abs(interpolated - direct), axis=1)
+        assert np.all(err <= 1e-11 * np.max(np.abs(direct), axis=1))
+
+
+def _spy_on_hankel(monkeypatch):
+    sizes = []
+    real = propagator._hankel_integrals
+
+    def spy(betas, a, r_src, t, s, *args):
+        sizes.append(s.size)
+        return real(betas, a, r_src, t, s, *args)
+
+    monkeypatch.setattr(propagator, "_hankel_integrals", spy)
+    return sizes
+
+
+def test_requested_grid_reads_only_the_rule_grid(monkeypatch, data_ab):
+    t = 0.5
+    u0 = gaussian_ring(5.0, 1.0, 1280, 12.0, n_theta=64, angular_mode=1)
+    cn = crank_nicolson_oracle(data_ab, u0, t)
+    sizes = _spy_on_hankel(monkeypatch)
+    evolve(data_ab, u0, t, r_out=cn.r)
+    h = np.pi / (S_OVERSAMPLE * u0.r[-1])
+    coarse = int(np.ceil(cn.r[-1] / (2.0 * t) / h)) + SINC_TAPS + 1
+    assert sum(sizes) <= coarse + HOLDOUT_POINTS < cn.r.size // 5
+    # the automatic grid is no larger than the interpolation's own: direct route
+    sizes.clear()
+    r_auto = 2.0 * t * _evaluation_grid(u0, t)
+    evolve(data_ab, u0, t, r_out=r_auto)
+    assert sizes == [r_auto.size]
+
+
+def test_holdout_guard_falls_back_to_direct_evaluation(monkeypatch, ring_m1, data_ab):
+    t = 0.5
+    r_out = uniform_radii(16.0, 1024)
+    monkeypatch.setattr(propagator, "SINC_TAPS", 2)
+    sizes = _spy_on_hankel(monkeypatch)
+    guarded = evolve(data_ab, ring_m1, t, r_out=r_out)
+    assert sizes[1:] == [HOLDOUT_POINTS, r_out.size]
+    monkeypatch.setattr(propagator, "_interpolated_integrals", lambda *args: None)
+    direct = evolve(data_ab, ring_m1, t, r_out=r_out)
+    assert np.max(np.abs(guarded.values - direct.values)) <= 1e-15 * direct.sup_norm()
+
+
 def test_negative_time_result_is_the_mirror_run(ring_m1, data_ab):
     back = evolve_result(data_ab, ring_m1, -1.0)
     mirror_u0 = dataclasses.replace(ring_m1, values=np.conj(ring_m1.values))
@@ -241,9 +313,12 @@ def test_crank_nicolson_agrees_with_series(data_ab):
 
 def test_crank_nicolson_boundary_monitor(data_ab):
     u0 = gaussian_ring(5.0, 1.0, 640, 12.0, n_theta=32, angular_mode=1)
-    with pytest.raises(ResolutionError) as exc:
-        crank_nicolson_oracle(data_ab, u0, 2.0, r_max=10.0)
-    assert exc.value.suggested_n > 0
+    # at r_max = 20 the wall sample itself is quiet, but ~1e-4 of the mass
+    # sits in the last 2 % of the grid
+    for r_max in (10.0, 20.0):
+        with pytest.raises(ResolutionError) as exc:
+            crank_nicolson_oracle(data_ab, u0, 2.0, r_max=r_max)
+        assert exc.value.suggested_n > 0
 
 
 def test_source_resolution_guard(data_ab):
