@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Before/after benchmark record: perfbench on a git rev and on the working tree.
+"""Before/after benchmark record: perfbench on a git rev and on HEAD.
 
-The rev is checked out in a temporary `git worktree` (under $TMPDIR, removed
-on exit).  For each workload the script runs the benchmark command of
-BENCHMARK.json (`perfbench/run.py`, at its `run_seconds`) on both checkouts
-in alternating pairs, the rev first in even pairs and the working tree first
-in odd ones, both sides of a pair on the same seed.  It writes
-BENCH_<n>.json at the repository root: every run's end-to-end metrics, each
-side's median and quartiles, and the number of pairs the working tree won.
+Both commits are checked out in temporary `git worktree`s (under $TMPDIR,
+removed on exit), so the record names exactly the code it measured; the
+script refuses to run while tracked files differ from HEAD.  For every
+BENCHMARK.json workload it runs the benchmark command (`perfbench/run.py`, at
+its `run_seconds`) on both checkouts in PAIRS alternating pairs, the rev first
+in even pairs and HEAD first in odd ones, both sides of a pair on the same
+seed.  It writes BENCH_<n>.json at the repository root: every run's
+end-to-end metrics, each side's median and quartiles, and the number of pairs
+HEAD won.
 
-    python3 scripts/bench.py --rev HEAD --number 6 --pairs 10 --seed 20
+    python3 scripts/bench.py --rev HEAD~1 --number 6 --seed 20
 """
 
 import argparse
@@ -24,6 +26,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10   # a gain claim needs nine wins in ten pairs
 
 
 def git(*args: str) -> str:
@@ -49,43 +52,42 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
 
 def summary(runs: list[dict], metric: str) -> dict:
     values = [r["metrics"][metric] for r in runs]
-    q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
-                      if len(values) > 1 else values * 3)
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", required=True, help="the parent side, any git revision")
     parser.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=20, help="seed of the first pair")
-    parser.add_argument("--workloads", nargs="+", help="default: every BENCHMARK.json workload")
     args = parser.parse_args()
 
+    if git("status", "--porcelain", "--untracked-files=no"):
+        parser.error("tracked files differ from HEAD; commit them first, "
+                     "the record measures HEAD")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
     metrics = spec["end_to_end"]
-    sha = git("rev-parse", args.rev)
+    shas = {"rev": git("rev-parse", args.rev), "head": git("rev-parse", "HEAD")}
     record = {
-        "rev": sha, "tree_head": git("rev-parse", "HEAD"),
-        "tree_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
+        **shas,
         "host": {"nproc": os.cpu_count(), "python": platform.python_version(),
                  "machine": platform.machine()},
         "command": spec["command"], "run_seconds": spec["run_seconds"],
-        "pairs": args.pairs, "workloads": {},
+        "pairs": PAIRS, "workloads": {},
     }
     # a terminated run still unwinds: the running benchmark is killed and the
-    # worktree removed
+    # worktrees removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     with tempfile.TemporaryDirectory(prefix="emschro-bench-") as tmp:
-        base = Path(tmp) / "rev"
-        git("worktree", "add", "--detach", str(base), sha)
+        checkouts = {side: Path(tmp) / side for side in shas}
         try:
-            for name in workloads:
-                sides = {"rev": [], "tree": []}
-                for i in range(args.pairs):
-                    order = [("rev", base), ("tree", ROOT)]
+            for side, sha in shas.items():
+                git("worktree", "add", "--detach", str(checkouts[side]), sha)
+            for name in (w["name"] for w in spec["workloads"]):
+                sides = {"rev": [], "head": []}
+                for i in range(PAIRS):
+                    order = list(checkouts.items())
                     for side, checkout in order if i % 2 == 0 else order[::-1]:
                         run = run_once(checkout, spec["command"], name, args.seed + i,
                                        spec["run_seconds"])
@@ -96,16 +98,18 @@ def main() -> int:
                 for m in metrics:
                     sign = 1.0 if m["better"] == "lower" else -1.0
                     wins[m["name"]] = sum(
-                        sign * (rev["metrics"][m["name"]] - tree["metrics"][m["name"]]) > 0
-                        for rev, tree in zip(sides["rev"], sides["tree"]))
+                        sign * (rev["metrics"][m["name"]] - head["metrics"][m["name"]]) > 0
+                        for rev, head in zip(sides["rev"], sides["head"]))
                 record["workloads"][name] = {
-                    "seeds": [args.seed + i for i in range(args.pairs)],
+                    "seeds": [args.seed + i for i in range(PAIRS)],
                     **{side: {"summary": {m["name"]: summary(runs, m["name"]) for m in metrics},
                               "runs": runs} for side, runs in sides.items()},
-                    "tree_wins": wins,
+                    "head_wins": wins,
                 }
         finally:
-            git("worktree", "remove", "--force", str(base))
+            for checkout in checkouts.values():
+                if checkout.exists():
+                    git("worktree", "remove", "--force", str(checkout))
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

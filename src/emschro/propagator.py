@@ -348,9 +348,11 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
     """Evolution internals: (field, s grid, I rows, source radii, a rows, kept indices).
 
     The source radii and the kept a rows are the sub-grid `_source_stride`
-    chose for this t and the s grid the quadrature ran on (the rule's grid
-    when `r_out` was interpolated).  For t < 0 they, s and I are those of the |t| mirror
-    run (reversed field, conj u0), so `_modal_masses` at |t| applies unchanged.
+    chose for this t.  s is always the output grid, r / 2t, and I is given on
+    it, also when it was interpolated (the rule's s grid stays inside
+    `_interpolated_integrals`).  For t < 0 they, s and I are those of the |t|
+    mirror run (reversed field, conj u0), so `_modal_masses` at |t| applies
+    unchanged.
     """
     if t < 0.0:
         mirror, s, I, r_src, a, keep = _evolve_core(
