@@ -73,6 +73,12 @@ def _sidecar(path: str, cfg: ExperimentConfig, thresholds: dict) -> None:
         fh.write("\n")
 
 
+def _work_sizes(dec: galerkin.SpectralDecomposition) -> dict:
+    """Sizes of the Galerkin solve and of its certificate's band re-solve."""
+    return {"matrix_dim": 2 * dec.M + 1, "reference_dim": dec.reference_dim,
+            "band_halfwidth": dec.band_halfwidth}
+
+
 def _out(cfg: ExperimentConfig, override: str | None, name: str) -> str:
     base = override or cfg.output_dir
     os.makedirs(base, exist_ok=True)
@@ -93,6 +99,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
         "hermitian_defect": dec.hermitian_defect,
         "resolved_count": dec.resolved_count,
         "reduced_circulation": p.reduced_circulation,
+        **_work_sizes(dec),
     }
     passed = dec.resolved_count > 0
     cls = classify_resonance(p)
@@ -187,7 +194,7 @@ def cmd_wkb(cfg: ExperimentConfig, out_dir: str | None) -> int:
     _write_csv(path, ["j", "branch", "lambda", "s", "mean_W", "fp_residual",
                       "galerkin_mu", "abs_diff"], rows)
     lam_eff = wkb.discover_lambda_eff(p, delta=sec["delta"])
-    _sidecar(path, cfg, {"lambda_eff": lam_eff, "worst_match": worst})
+    _sidecar(path, cfg, {"lambda_eff": lam_eff, "worst_match": worst, **_work_sizes(dec)})
     passed = worst < 1e-6
     print(f"wkb: {len(rows)} eigenvalues, worst Galerkin match {worst:.3e}, "
           f"{'PASS' if passed else 'FAIL'}")

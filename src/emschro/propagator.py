@@ -48,6 +48,13 @@ HOLDOUT_POINTS = 16          # requested s evaluated directly to check the inter
 HOLDOUT_RTOL = 1e-10         # holdout error allowed, relative to the mode's largest sample
 
 
+def _check_uniform(r: np.ndarray) -> None:
+    if r.size > 2:
+        steps = np.diff(r)
+        if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
+            raise InvalidInput("radial grid must be uniformly spaced")
+
+
 @dataclass(frozen=True)
 class PolarField:
     """Complex field sampled on a polar product grid (uniform angles)."""
@@ -60,10 +67,7 @@ class PolarField:
         v = np.asarray(self.values, dtype=complex)
         if r.ndim != 1 or v.ndim != 2 or v.shape[0] != r.size:
             raise InvalidInput("values must be (n_r, n_theta) matching the radial grid")
-        if r.size > 2:
-            steps = np.diff(r)
-            if np.max(steps) - np.min(steps) > 1e-9 * np.max(steps):
-                raise InvalidInput("radial grid must be uniformly spaced")
+        _check_uniform(r)
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "values", v)
 
@@ -364,6 +368,7 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
         r_out = np.asarray(r_out, dtype=float)
         if np.any(r_out < 0):
             raise InvalidInput("output radii must be nonnegative")
+        _check_uniform(r_out)   # the output field's grid, refused before the quadrature
         s = r_out / (2.0 * t)
     _check_source_resolution(u0, float(np.max(s)), t)
 

@@ -72,6 +72,15 @@ def test_wkb_command(ab_config, tmp_path):
     assert len(lines) == 4  # three requested indices
 
 
+def test_sidecars_record_galerkin_work_sizes(ab_config, tmp_path):
+    for command, table in (("spectrum", "eigenvalues.csv"), ("wkb", "wkb.csv")):
+        assert cli.main([command, ab_config]) == 0
+        meta = json.loads((tmp_path / "out" / f"{table}.meta.json").read_text())
+        sizes = {k: meta["thresholds"][k]
+                 for k in ("matrix_dim", "reference_dim", "band_halfwidth")}
+        assert sizes == {"matrix_dim": 65, "reference_dim": 97, "band_halfwidth": 0}
+
+
 def test_kernel_scan_command(ab_config, tmp_path):
     assert cli.main(["kernel-scan", ab_config]) == 0
     assert (tmp_path / "out" / "kernel_scan.csv").exists()

@@ -1,12 +1,19 @@
-"""Truncated eigenproblem: exact flux-line case, invariances, clusters."""
+"""Truncated eigenproblem: exact flux-line case, invariances, clusters, certificate."""
+
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emschro import galerkin
 from emschro.errors import InvalidInput
 from emschro.galerkin import (
+    RESOLVE_FACTOR,
+    RESOLVE_RTOL,
+    _upper_band,
+    assemble_matrix,
     cluster_check,
     compute_spectrum,
     spectrum_rows,
@@ -37,6 +44,66 @@ def test_eigenvalues_sorted_real_and_certified(dec_cos64):
 def test_ground_state_frozen_value(dec_cos64):
     # a = cos(theta), A = 0.3 has a slightly negative ground eigenvalue
     assert dec_cos64.eigenvalues[0] == pytest.approx(-0.35890355745735536, abs=1e-9)
+
+
+@pytest.mark.parametrize("name, M, b", [("p_mixed", 1, 2), ("p_mixed", 16, 2),
+                                        ("p_cos", 7, 1), ("p_even_electric", 2, 2),
+                                        ("p_ab", 5, 0)])
+def test_band_storage_reproduces_the_assembled_matrix(request, name, M, b):
+    p = request.getfixturevalue(name)
+    H = assemble_matrix(p, M)
+    ab = _upper_band(p, M)
+    n = 2 * M + 1
+    assert ab.shape == (b + 1, n)
+    upper = np.zeros_like(H)
+    for j in range(n):   # LAPACK upper band storage: ab[b + i - j, j] = H[i, j]
+        for i in range(max(0, j - b), j + 1):
+            upper[i, j] = ab[b + i - j, j]
+    assert np.max(np.abs(upper - np.triu(H))) <= 1e-14 * np.max(np.abs(H))
+    assert not np.any(np.triu(H, b + 1))
+
+
+def _dense_certified_count(p, dec) -> int:
+    """The certificate by its definition: a dense eigvalsh of the M' matrix."""
+    H = assemble_matrix(p, math.ceil(RESOLVE_FACTOR * dec.M))
+    ref = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    count = 0
+    for mu, mu_ref in zip(dec.eigenvalues, ref):
+        if abs(mu - mu_ref) > RESOLVE_RTOL * max(1.0, abs(mu_ref)):
+            break
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("name", ["p_cos", "p_mixed", "p_ab", "p_even_electric"])
+@pytest.mark.parametrize("M", [16, 64, 96])
+def test_band_certificate_matches_the_dense_reference(request, name, M):
+    p = request.getfixturevalue(name)
+    dec = compute_spectrum(p, M)
+    assert dec.resolved_count == _dense_certified_count(p, dec)
+    assert dec.reference_dim == 2 * math.ceil(RESOLVE_FACTOR * M) + 1
+
+
+def test_too_small_truncation_certifies_part_of_the_spectrum(p_mixed):
+    dec = compute_spectrum(p_mixed, 6)
+    assert (dec.resolved_count, dec.eigenvalues.size) == (4, 13)
+    assert dec.resolved_count == _dense_certified_count(p_mixed, dec)
+
+
+def test_compute_spectrum_assembles_once(monkeypatch, p_mixed):
+    sizes = []
+    real = galerkin.assemble_matrix
+    monkeypatch.setattr(galerkin, "assemble_matrix",
+                        lambda p, M: sizes.append(M) or real(p, M))
+    compute_spectrum(p_mixed, 24)
+    assert sizes == [24]
+
+
+def test_hermitian_defect_is_that_of_the_assembled_matrix(p_mixed):
+    dec = compute_spectrum(p_mixed, 64)
+    H = assemble_matrix(p_mixed, 64)
+    defect = max(abs(H[i, j] - np.conj(H[j, i])) for i, j in np.ndindex(H.shape))
+    assert dec.hermitian_defect == defect > 0.0
 
 
 def test_spectral_shift_by_constant(p_cos):

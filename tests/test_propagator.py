@@ -293,6 +293,19 @@ def test_holdout_guard_falls_back_to_direct_evaluation(monkeypatch, ring_m1, dat
     assert np.max(np.abs(guarded.values - direct.values)) <= 1e-15 * direct.sup_norm()
 
 
+def test_non_uniform_output_grid_is_refused_before_the_quadrature(monkeypatch, ring_m1,
+                                                                 data_ab):
+    sizes = _spy_on_hankel(monkeypatch)
+    projected = []
+    monkeypatch.setattr(propagator, "modal_coefficients",
+                        lambda *args: projected.append(args))
+    r_out = np.sort(np.random.default_rng(3).uniform(0.0, 16.0, 300))
+    for t in (0.5, -0.5):
+        with pytest.raises(InvalidInput, match="uniformly spaced"):
+            evolve(data_ab, ring_m1, t, r_out=r_out)
+    assert sizes == [] and projected == []
+
+
 def test_negative_time_result_is_the_mirror_run(ring_m1, data_ab):
     back = evolve_result(data_ab, ring_m1, -1.0)
     mirror_u0 = dataclasses.replace(ring_m1, values=np.conj(ring_m1.values))
