@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bessel
 from .errors import HypothesisViolation
-from .galerkin import cluster_check, compute_spectrum, subspace_angle
+from .galerkin import cluster_check, compute_spectrum, loglog_slope, subspace_angle
 from .electric import half_integer_table, splitting_table
 from .kernel import ab_eigendata, difference_scan, from_spectrum, sup_scan
 from .potentials import build_potential, constant_potential
@@ -163,7 +163,7 @@ def criterion_6() -> tuple[bool, str]:
         res.append(max(abs(r.lam_sine - (r.k ** 2 + atil - half)),
                        abs(r.lam_cosine - (r.k ** 2 + atil + half))))
     scaled = [k * e for k, e in zip(ks, res)]
-    branch_slope = float(np.polyfit(np.log(ks), np.log(res), 1)[0])
+    branch_slope = loglog_slope(np.array(ks), np.array(res))
     ok = (split_err <= 1.0 and branch_slope <= -1.0
           and all(map(math.isfinite, scaled)))
     parts = [f"splitting(k=1) {row1.splitting:.6f} (|err| {split_err:.3f}, window 1.0)",
@@ -206,8 +206,7 @@ def criterion_7() -> tuple[bool, str]:
                  f"variation {rep_pos.top_two_decade_variation:.4f}")
     p_small = build_potential(a_coeffs=[0.1, 0.0, 0.1], A_coeffs=[0.3])
     dec_small = compute_spectrum(p_small, 160)
-    drep = difference_scan(dec_small, p_small, ells=(4, 8, 16),
-                           rho_max=50.0, n_rho=120, n_theta=48)
+    drep = difference_scan(dec_small, p_small, ells=(4, 8, 16), rho_max=50.0)
     diff_ok = drep.decreasing and drep.slope <= -2.0
     ds = ", ".join(f"D({r.ell})={r.max_abs:.4f}" for r in drep.rows)
     parts.append(f"gap on 0.2cos/0.3: {ds}, decreasing {drep.decreasing}, "
@@ -315,18 +314,14 @@ def run_criterion(number: int) -> CriterionResult:
     return CriterionResult(num, name, passed, detail, time.perf_counter() - t0)
 
 
-def run_all(verbose: bool = True, numbers=None) -> list[CriterionResult]:
+def run_all() -> list[CriterionResult]:
+    """Run every criterion, printing one line each and a closing tally."""
     results = []
-    for num, name, _ in CRITERIA:
-        if numbers is not None and num not in numbers:
-            continue
+    for num, _name, _ in CRITERIA:
         res = run_criterion(num)
         results.append(res)
-        if verbose:
-            tag = "PASS" if res.passed else "FAIL"
-            print(f"criterion {res.number:2d} [{tag}] {res.name}: "
-                  f"{res.detail} ({res.seconds:.1f} s)")
-    if verbose:
-        n_pass = sum(r.passed for r in results)
-        print(f"{n_pass}/{len(results)} criteria passed")
+        tag = "PASS" if res.passed else "FAIL"
+        print(f"criterion {res.number:2d} [{tag}] {res.name}: "
+              f"{res.detail} ({res.seconds:.1f} s)")
+    print(f"{sum(r.passed for r in results)}/{len(results)} criteria passed")
     return results

@@ -108,13 +108,11 @@ class LandauReport:
     finite: bool
 
 
-def landau_bound_check(nu_max: int = 500, n_r: int = 2000, r_max: float | None = None) -> LandauReport:
-    """Measure sup over nu in {1..nu_max}, r in a grid, of |J_nu(r)| nu^{1/3}."""
+def landau_bound_check(nu_max: int = 500, n_r: int = 2000) -> LandauReport:
+    """Measure sup over nu in {1..nu_max}, r in [0, nu_max + 20], of |J_nu(r)| nu^{1/3}."""
     if nu_max < 1:
         raise InvalidInput("nu_max must be >= 1")
-    if r_max is None:
-        r_max = float(nu_max) + 20.0
-    rg = np.linspace(0.0, r_max, n_r)
+    rg = np.linspace(0.0, float(nu_max) + 20.0, n_r)
     best = -1.0
     arg = (1.0, 0.0)
     for nu in range(1, nu_max + 1):

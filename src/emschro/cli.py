@@ -63,7 +63,6 @@ def _sidecar(path: str, cfg: ExperimentConfig, thresholds: dict) -> None:
 
     meta = {
         "config_hash": config_hash(cfg),
-        "seed": cfg.seed,
         "versions": {"emschro": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "thresholds": thresholds,
@@ -245,8 +244,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
         ]
         thresholds["closed_form_max_diff"] = max(diffs)
     if sec["difference"]:
-        diff = kernel.difference_scan(dec, p, ells=tuple(sec["ells"]),
-                                      rho_max=sec["rho_max"], tol=sec["tol"])
+        diff = kernel.difference_scan(dec, p, ells=sec["ells"], rho_max=sec["rho_max"])
         _write_csv(_out(cfg, out_dir, "kernel_difference.csv"),
                    ["ell", "max_abs", "terms"],
                    [(r.ell, r.max_abs, r.terms) for r in diff.rows])
@@ -307,7 +305,7 @@ def cmd_decay(cfg: ExperimentConfig, out_dir: str | None) -> int:
 def cmd_validate(_cfg=None, _out_dir=None) -> int:
     from .acceptance import run_all
 
-    results = run_all(verbose=True)
+    results = run_all()
     return EXIT_PASS if all(r.passed for r in results) else EXIT_FAIL
 
 

@@ -7,13 +7,16 @@ of real samples on a uniform theta grid (then `n_modes` is required), and the
 same for the magnetic field.  Exactly one of coeffs/samples per field.
 Command sections (`spectrum`, `wkb`, `kernel_scan`, `decay`) hold only the
 keys listed in their schemas; unknown keys are rejected so typos cannot
-silently fall back to defaults.
+silently fall back to defaults.  Values are type-checked too: sizes are
+positive integers, flags are booleans and list keys are nonempty lists of the
+kind their command reads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +51,30 @@ _SECTION_SCHEMAS = {
 _TOLERANCE_KEYS = {"tol", "delta", "w", "rho_max", "r_max", "oracle_t"}
 _POSITIVE_INT_KEYS = {"M", "grid_n", "n_rho", "n_theta", "n_r", "count",
                       "cluster_k_min", "cluster_k_max", "j_min", "j_max"}
+_BOOL_KEYS = {"difference", "full_grid", "oracle", "snapshots"}
+_INT_KEYS = {"angular_mode"}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and math.isfinite(v))
+
+
+# list keys: nonempty lists whose every entry passes the check
+_POSITIVE_INTS = (lambda v: _is_int(v) and v > 0, "positive integers")
+_LIST_KEYS = {"ells": _POSITIVE_INTS, "k_values": _POSITIVE_INTS, "j_values": _POSITIVE_INTS,
+              "j_list": (lambda v: _is_int(v) and v != 0, "nonzero integers"),
+              "t_list": (_is_number, "finite numbers")}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     potential: AngularPotential
     output_dir: str
-    seed: int
     sections: dict = field(repr=False)
 
     def section(self, name: str) -> dict:
@@ -71,12 +91,19 @@ def _check_section(name: str, given: dict) -> dict:
     for key, val in merged.items():
         if val is None:
             continue
-        if key in _TOLERANCE_KEYS:
-            if not isinstance(val, (int, float)) or val <= 0:
-                raise ConfigError(f"{name}.{key} must be a positive number, got {val!r}")
-        if key in _POSITIVE_INT_KEYS:
-            if not isinstance(val, int) or val <= 0:
-                raise ConfigError(f"{name}.{key} must be a positive integer, got {val!r}")
+        if key in _TOLERANCE_KEYS and not (_is_number(val) and val > 0):
+            raise ConfigError(f"{name}.{key} must be a positive number, got {val!r}")
+        if key in _POSITIVE_INT_KEYS and not (_is_int(val) and val > 0):
+            raise ConfigError(f"{name}.{key} must be a positive integer, got {val!r}")
+        if key in _INT_KEYS and not _is_int(val):
+            raise ConfigError(f"{name}.{key} must be an integer, got {val!r}")
+        if key in _BOOL_KEYS and not isinstance(val, bool):
+            raise ConfigError(f"{name}.{key} must be true or false, got {val!r}")
+        if key in _LIST_KEYS:
+            ok, kind = _LIST_KEYS[key]
+            if not (isinstance(val, list) and val and all(map(ok, val))):
+                raise ConfigError(f"{name}.{key} must be a nonempty list of {kind}, "
+                                  f"got {val!r}")
     return merged
 
 
@@ -118,7 +145,7 @@ def _build_from_section(sec: dict) -> AngularPotential:
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
-    allowed = {"potential", "output_dir", "seed"} | set(_SECTION_SCHEMAS)
+    allowed = {"potential", "output_dir"} | set(_SECTION_SCHEMAS)
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
@@ -128,13 +155,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a nonempty string")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
     sections = {name: _check_section(name, doc.get(name, {}))
                 for name in _SECTION_SCHEMAS}
-    return ExperimentConfig(potential=potential, output_dir=output_dir, seed=seed,
-                            sections=sections)
+    return ExperimentConfig(potential=potential, output_dir=output_dir, sections=sections)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -160,7 +183,6 @@ def config_hash(cfg: ExperimentConfig) -> str:
         "potential": {name: np.column_stack([c.real, c.imag]).tolist()
                       for name, c in (("a", p.a_coeffs), ("A", p.A_coeffs))},
         "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
         "sections": cfg.sections,
     }
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))

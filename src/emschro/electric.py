@@ -20,10 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence, SymmetryViolation
-from .galerkin import SpectralDecomposition
+from .galerkin import SpectralDecomposition, loglog_slope
 from .potentials import AngularPotential, theta_grid
 
 SYMMETRY_TOL = 1e-10
+PAIR_TOL = 1e-12       # Picard updates stop once shift and correction move less
+PAIR_MAX_ITER = 200
 
 
 def even_cosine_coefficients(p: AngularPotential) -> np.ndarray:
@@ -121,8 +123,7 @@ class ElectricEigenpair:
     samples: np.ndarray = field(repr=False)
 
 
-def solve_pair(p: AngularPotential, k: int, parity: str,
-               tol: float = 1e-12, max_iter: int = 200) -> ElectricEigenpair:
+def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
     """Eigenpair near k^2 + mean(a) in the chosen parity sector."""
     if parity not in ("sine", "cosine"):
         raise InvalidInput("parity must be 'sine' or 'cosine'")
@@ -156,7 +157,7 @@ def solve_pair(p: AngularPotential, k: int, parity: str,
     psi = np.zeros(J + 1)
     psi_samples = np.zeros(n)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, PAIR_MAX_ITER + 1):
         corr = phi_k_samples + psi_samples
         # solvability: project the perturbation of the corrected mode back on the lead
         lt_new = sign * a2k / 2.0 + float(np.mean(a_samples * corr * lead_samples) * 2.0)
@@ -174,7 +175,7 @@ def solve_pair(p: AngularPotential, k: int, parity: str,
         change = max(abs(lt_new - lt), float(np.max(np.abs(psi_new - psi))))
         lt, psi = lt_new, psi_new
         psi_samples = to_samples(psi, n)
-        if change <= tol:
+        if change <= PAIR_TOL:
             break
     else:
         raise NoConvergence(f"no contraction at k = {k} ({parity} sector)")
@@ -229,15 +230,6 @@ def _nearest(values: np.ndarray, x: float) -> float:
     return float(values[int(np.argmin(np.abs(values - x)))])
 
 
-def _loglog_slope(ks: np.ndarray, vals: np.ndarray) -> float:
-    good = vals > 1e-300
-    if np.sum(good) < 2:
-        return 0.0
-    A = np.vstack([np.log(ks[good]), np.ones(int(np.sum(good)))]).T
-    sl, _ = np.linalg.lstsq(A, np.log(vals[good]), rcond=None)[0]
-    return float(sl)
-
-
 def splitting_table(p: AngularPotential, dec: SpectralDecomposition,
                     k_values) -> SplittingTable:
     """Sector gaps and fixed-point eigenvalues against reference eigenvalues."""
@@ -260,8 +252,8 @@ def splitting_table(p: AngularPotential, dec: SpectralDecomposition,
     ks = np.array([r.k for r in rows], dtype=float)
     return SplittingTable(
         rows=rows,
-        split_error_slope=_loglog_slope(ks, np.array([r.splitting_error for r in rows])),
-        match_slope=_loglog_slope(ks, np.array([r.match_residual for r in rows])),
+        split_error_slope=loglog_slope(ks, np.array([r.splitting_error for r in rows])),
+        match_slope=loglog_slope(ks, np.array([r.match_residual for r in rows])),
     )
 
 
@@ -303,7 +295,7 @@ def half_integer_table(p: AngularPotential, dec: SpectralDecomposition,
     js = np.array([r.j for r in rows], dtype=float)
     return HalfIntegerTable(
         rows=rows,
-        slope=_loglog_slope(js, np.array([r.residual for r in rows])),
+        slope=loglog_slope(js, np.array([r.residual for r in rows])),
     )
 
 

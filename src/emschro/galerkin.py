@@ -182,20 +182,18 @@ def eigensolve(H: np.ndarray, potential: AngularPotential | None = None,
     )
 
 
-def compute_spectrum(p: AngularPotential, M: int,
-                     resolve_factor: float = RESOLVE_FACTOR,
-                     rtol: float = RESOLVE_RTOL) -> SpectralDecomposition:
+def compute_spectrum(p: AngularPotential, M: int) -> SpectralDecomposition:
     """Assemble and solve at M, then certify the leading eigenvalues.
 
-    The certificate re-solves at M' = ceil(resolve_factor M) for eigenvalues
+    The certificate re-solves at M' = ceil(RESOLVE_FACTOR M) for eigenvalues
     only, from band storage (the dense M' matrix is never built), and counts
-    the leading eigenvalues that match it to relative `rtol`.
+    the leading eigenvalues that match it to relative `RESOLVE_RTOL`.
     """
     dec = eigensolve(assemble_matrix(p, M), potential=p)
-    ab = _upper_band(p, int(math.ceil(resolve_factor * M)))
+    ab = _upper_band(p, int(math.ceil(RESOLVE_FACTOR * M)))
     w = dec.eigenvalues
     ref = eigvals_banded(ab, lower=False)[:w.size]
-    match = np.abs(w - ref) <= rtol * np.maximum(1.0, np.abs(ref))
+    match = np.abs(w - ref) <= RESOLVE_RTOL * np.maximum(1.0, np.abs(ref))
     return replace(dec, resolved_count=int(np.cumprod(match).sum()),
                    reference_dim=ab.shape[1], band_halfwidth=ab.shape[0] - 1)
 
@@ -339,3 +337,11 @@ def subspace_angle(U1: np.ndarray, U2: np.ndarray) -> float:
     s = np.clip(s, -1.0, 1.0)
     return float(np.arccos(np.min(s)))
 
+
+def loglog_slope(x: np.ndarray, vals: np.ndarray) -> float:
+    """Least-squares slope of log vals against log x over the positive vals (0 if < 2)."""
+    good = vals > 1e-300
+    if np.sum(good) < 2:
+        return 0.0
+    A = np.vstack([np.log(x[good]), np.ones(int(np.sum(good)))]).T
+    return float(np.linalg.lstsq(A, np.log(vals[good]), rcond=None)[0][0])

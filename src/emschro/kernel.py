@@ -26,10 +26,13 @@ import numpy as np
 
 from . import bessel
 from .errors import HypothesisViolation, InsufficientResolution, InvalidInput
-from .galerkin import SpectralDecomposition
+from .galerkin import SpectralDecomposition, loglog_slope, pair_modes
 from .potentials import AngularPotential
 
 DEFAULT_TOL = 1e-9
+N_WINDOWS = 8              # geometric sup-scan windows, a quarter decade each
+DIFFERENCE_N_RHO = 120     # gap-scan grid: rho samples on [0, rho_max] ...
+DIFFERENCE_N_THETA = 48    # ... and uniform theta samples
 SOURCE_GALERKIN = "galerkin"
 SOURCE_AB = "closed_form_ab"
 
@@ -207,7 +210,7 @@ def kernel_value(data: KernelEigendata, rho: float, theta: float, theta_prime: f
     """Single-point kernel evaluation with certified truncation error."""
     n, dropped = truncation(data, rho, tol)
     W = _weights_on_rho(data, np.array([float(rho)]), np.array([n]))
-    K = _mode_sum(data, W, np.array([theta]), np.array([theta_prime]))
+    K = _mode_sum(W, data.psi_values(theta)[:n], data.psi_values(theta_prime)[:n])
     return KernelValue(value=complex(K[0, 0, 0]), terms_used=n, tail_bound=dropped)
 
 
@@ -222,12 +225,8 @@ def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray) ->
     return W
 
 
-def _mode_sum(data: KernelEigendata, W: np.ndarray, theta: np.ndarray,
-              theta_prime: np.ndarray) -> np.ndarray:
-    """sum_k W[k, r] psi_k(theta) conj psi_k(theta') over the rows of W."""
-    n = W.shape[0]
-    P = data.psi_values(np.asarray(theta, dtype=float))[:n]
-    Q = data.psi_values(np.asarray(theta_prime, dtype=float))[:n]
+def _mode_sum(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """sum_k W[k, r] P[k, t] conj Q[k, s]: weights times angular rows at theta, theta'."""
     return np.einsum("kr,kt,ks->rts", W, P, np.conj(Q), optimize=True)
 
 
@@ -236,7 +235,9 @@ def evaluate_grid(data: KernelEigendata, rho: np.ndarray, theta: np.ndarray,
     """K on a product grid; returns complex array (len(rho), len(theta), len(theta_prime))."""
     rho = np.asarray(rho, dtype=float)
     cuts = np.array([cutoff_index(data, float(r), tol) for r in rho])
-    return _mode_sum(data, _weights_on_rho(data, rho, cuts), theta, theta_prime)
+    W = _weights_on_rho(data, rho, cuts)
+    n = W.shape[0]
+    return _mode_sum(W, data.psi_values(theta)[:n], data.psi_values(theta_prime)[:n])
 
 
 # -- scans -----------------------------------------------------------------------
@@ -256,8 +257,7 @@ class ScanReport:
 
 
 def sup_scan(data: KernelEigendata, rho_max: float = 50.0, n_rho: int = 200,
-             n_theta: int = 64, tol: float = DEFAULT_TOL,
-             n_windows: int = 8) -> ScanReport:
+             n_theta: int = 64, tol: float = DEFAULT_TOL) -> ScanReport:
     """Max |K| over a (rho, theta, theta') product grid with window trend.
 
     The trend records the running max over increasing rho windows: a bounded
@@ -274,13 +274,13 @@ def sup_scan(data: KernelEigendata, rho_max: float = 50.0, n_rho: int = 200,
     peak = np.abs(row_values)
     top = int(np.argmax(peak))
     # geometric window edges spanning two decades up to rho_max
-    edges = rho_max * np.logspace(-n_windows * 0.25, 0.0, n_windows + 1)
-    wmax = np.zeros(n_windows)
-    rmax = np.zeros(n_windows + 1)
-    for w in range(n_windows):
+    edges = rho_max * np.logspace(-N_WINDOWS * 0.25, 0.0, N_WINDOWS + 1)
+    wmax = np.zeros(N_WINDOWS)
+    rmax = np.zeros(N_WINDOWS + 1)
+    for w in range(N_WINDOWS):
         sel = (rho >= edges[w]) & (rho <= edges[w + 1])
         wmax[w] = float(peak[sel].max()) if np.any(sel) else 0.0
-    for w in range(n_windows + 1):
+    for w in range(N_WINDOWS + 1):
         rmax[w] = float(peak[rho <= edges[w]].max()) if np.any(rho <= edges[w]) else 0.0
     m_low = float(peak[rho <= rho_max / 10.0].max())
     m_all = float(peak[top])
@@ -321,52 +321,48 @@ class DifferenceReport:
 
 
 def difference_scan(dec: SpectralDecomposition, p: AngularPotential,
-                    ells=(4, 8, 16), rho_max: float = 50.0, n_rho: int = 120,
-                    n_theta: int = 48, tol: float = DEFAULT_TOL,
-                    j_max: int | None = None) -> DifferenceReport:
-    """Max over the grid of |Sigma_{|j|>=ell} - e^{i Abar dtheta} Sigma^{ab}_{|j|>=ell}|.
+                    ells=(4, 8, 16), rho_max: float = 50.0) -> DifferenceReport:
+    """D(ell) = max over the grid of |Sigma_{|j|>=ell} - e^{i Abar dtheta} Sigma^{ab}_{|j|>=ell}|.
 
     Sigma is the gauge-stripped tail of the full kernel paired by signed mode
     index; Sigma^{ab} the constant-circulation comparison with alpha = Abar.
-    Both tails are truncated at the same |j| <= j_max with certified remainders.
+    Both tails stop at the same |j| <= j_max.  Each pair adds two rows to one
+    mode sum: its gauge-stripped mode, and its model mode e^{i(j+Abar)theta}
+    with negated weight.  Bands of |j| are added from the top down, so D(ell)
+    reads the running sum once every |j| >= ell is in.
     """
-    from .galerkin import pair_modes
-
     data = from_spectrum(dec)
     ab = p.reduced_circulation
     ells = sorted(int(e) for e in ells)
-    if j_max is None:
-        # orders above this contribute below tol for every rho in range
-        j_max = int(math.e * rho_max / 2.0) + 24
-    js = [j for j in range(-j_max, j_max + 1) if abs(j) >= min(ells)]
-    pairs = pair_modes(dec, p, js)
+    # orders above this contribute below DEFAULT_TOL for every rho in range
+    j_max = int(math.e * rho_max / 2.0) + 24
+    if not ells or ells[0] < 1 or ells[-1] > j_max:
+        raise InvalidInput(f"ells must be integers in 1..{j_max} at rho_max = {rho_max}")
+    pairs = pair_modes(dec, p, [j for j in range(-j_max, j_max + 1) if abs(j) >= ells[0]])
     if max(pr.k for pr in pairs) >= data.count:
         raise InsufficientResolution("increase Galerkin size: tail modes unresolved")
 
-    rho = np.linspace(0.0, rho_max, n_rho)
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    rho = np.linspace(0.0, rho_max, DIFFERENCE_N_RHO)
+    th = 2.0 * np.pi * np.arange(DIFFERENCE_N_THETA) / DIFFERENCE_N_THETA
     chi = _gauge_stripped_psi(data, th)          # (count, n_theta)
-    dth = th[:, None] - th[None, :]              # theta - theta'
+    k = np.array([pr.k for pr in pairs])
+    j = np.array([pr.j for pr in pairs])
+    # rows 2i and 2i + 1: pair i's mode and its model, whose weight is negated
+    orders = np.column_stack([data.beta[k], np.abs(j + ab)]).ravel()
+    W = np.array([i_power(b) * bessel.j_grid(float(b), rho) for b in orders])
+    W[1::2] = -W[1::2]
+    P = np.stack([chi[k], np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
+    level = np.repeat(np.abs(j), 2)
+    acc = np.zeros((rho.size, th.size, th.size), dtype=complex)
     rows = []
-    for ell in ells:
-        acc = np.zeros((n_rho, n_theta, n_theta), dtype=complex)
-        terms = 0
-        for pr in pairs:
-            if abs(pr.j) < ell:
-                continue
-            b = float(data.beta[pr.k])
-            wt = i_power(b) * bessel.j_grid(b, rho)
-            gen = np.einsum("r,t,s->rts", wt, chi[pr.k], np.conj(chi[pr.k]))
-            bm = abs(pr.j + ab)
-            wm = i_power(bm) * bessel.j_grid(bm, rho)
-            abk = np.exp(1j * (pr.j + ab) * dth)
-            acc += gen - np.einsum("r,ts->rts", wm, abk)
-            terms += 1
-        rows.append(DifferenceRow(ell=ell, max_abs=float(np.max(np.abs(acc))), terms=terms))
-    vals = np.array([r.max_abs for r in rows], dtype=float)
-    els = np.array([r.ell for r in rows], dtype=float)
-    slope = 0.0
-    if np.all(vals > 0) and len(rows) >= 2:
-        A = np.vstack([np.log(els), np.ones(els.size)]).T
-        slope = float(np.linalg.lstsq(A, np.log(vals), rcond=None)[0][0])
-    return DifferenceReport(rows=rows, decreasing=bool(np.all(np.diff(vals) < 0)), slope=slope)
+    top = np.inf
+    for ell in reversed(ells):
+        band = (level >= ell) & (level < top)
+        acc += _mode_sum(W[band], P[band], P[band])
+        top = ell
+        rows.append(DifferenceRow(ell=ell, max_abs=float(np.max(np.abs(acc))),
+                                  terms=int(np.count_nonzero(level >= ell)) // 2))
+    rows.reverse()
+    vals = np.array([r.max_abs for r in rows])
+    return DifferenceReport(rows=rows, decreasing=bool(np.all(np.diff(vals) < 0)),
+                            slope=loglog_slope(np.array(ells), vals))

@@ -134,9 +134,9 @@ def theta_grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def default_grid_size(p: AngularPotential, minimum: int = 256) -> int:
-    """Grid large enough for spectrally exact work with this potential."""
-    need = max(minimum, 4 * (p.bandwidth + 1))
+def default_grid_size(p: AngularPotential) -> int:
+    """Grid large enough for spectrally exact work with this potential (at least 256)."""
+    need = max(256, 4 * (p.bandwidth + 1))
     n = 1
     while n < need:
         n *= 2

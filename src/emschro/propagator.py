@@ -46,6 +46,9 @@ SRC_SAMPLES_PER_PERIOD = 16  # source grid rule vs fastest integrand oscillation
 SINC_TAPS = 32               # regularised-sinc taps per side, rule s grid -> requested s
 HOLDOUT_POINTS = 16          # requested s evaluated directly to check the interpolant
 HOLDOUT_RTOL = 1e-10         # holdout error allowed, relative to the mode's largest sample
+HANKEL_CHUNK = 384           # output s values per J block in the Hankel quadrature
+BANDWIDTH_FLOOR = 1e-6       # radial bandwidth ignores samples below this fraction of the sup
+CN_REFINE = 2                # Crank-Nicolson grid: source spacing divided by this
 
 
 def _check_uniform(r: np.ndarray) -> None:
@@ -106,12 +109,12 @@ def gaussian_ring(r0: float, w: float, n_r: int, r_max: float,
     return PolarField(r=r, values=np.outer(radial, np.exp(1j * angular_mode * th)))
 
 
-def radial_bandwidth(u0: PolarField, floor_fraction: float = 1e-6) -> float:
+def radial_bandwidth(u0: PolarField) -> float:
     """Largest local radial frequency |d_r u| / |u| where the field has amplitude.
 
     Bounds how fast the field spreads radially (group velocity 2 k_rad); used
     to size evaluation windows and the Crank-Nicolson step count.  Regions
-    below floor_fraction of the sup are ignored so decaying tails do not count
+    below BANDWIDTH_FLOOR of the sup are ignored so decaying tails do not count
     as oscillation.
     """
     v = np.asarray(u0.values)
@@ -123,7 +126,7 @@ def radial_bandwidth(u0: PolarField, floor_fraction: float = 1e-6) -> float:
         return 0.0
     dr = float(u0.r[1] - u0.r[0])
     grad = np.gradient(v, dr, axis=0)
-    mask = mag >= floor_fraction * sup
+    mask = mag >= BANDWIDTH_FLOOR * sup
     k_loc = (np.abs(grad[mask]) / mag[mask]).ravel()
     weight = (mag[mask] ** 2 * np.broadcast_to(u0.r[:, None], mag.shape)[mask]).ravel()
     order = np.argsort(k_loc)
@@ -229,7 +232,7 @@ def _flip_eigendata(data: KernelEigendata) -> KernelEigendata:
 
 
 def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
-                      t: float, s: np.ndarray, chunk: int = 384) -> np.ndarray:
+                      t: float, s: np.ndarray) -> np.ndarray:
     """I_k(s) = int J_{beta_k}(s r') e^{i r'^2/4t} a_k(r') r' dr' for each row of a."""
     dr = float(r_src[1] - r_src[0])
     chirp = np.exp(1j * r_src ** 2 / (4.0 * t)) * r_src * dr
@@ -245,10 +248,10 @@ def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
         lo, hi = max(int(nz[0]) - 2, 0), min(int(nz[-1]) + 3, r_src.size)
         w_src = a[i, lo:hi] * chirp[lo:hi]
         rs = r_src[lo:hi]
-        for c0 in range(0, s.size, chunk):
-            sc = s[c0:c0 + chunk]
+        for c0 in range(0, s.size, HANKEL_CHUNK):
+            sc = s[c0:c0 + HANKEL_CHUNK]
             J = bessel.j_grid(float(b), np.outer(sc, rs).ravel()).reshape(sc.size, rs.size)
-            out[i, c0:c0 + chunk] = J @ w_src
+            out[i, c0:c0 + HANKEL_CHUNK] = J @ w_src
     return out
 
 
@@ -404,39 +407,34 @@ def free_evolution(u0: PolarField, t: float, r_out: np.ndarray | None = None) ->
 # -- Crank-Nicolson oracle ---------------------------------------------------------
 
 
-def _spectral_refine(rows: np.ndarray, n_coarse: int, refine: int) -> np.ndarray:
+def _spectral_refine(rows: np.ndarray, n_coarse: int) -> np.ndarray:
     """Band-limited upsampling of compactly supported radial profiles.
 
     `rows[i]` holds samples at dr * (1 .. n_src); returns samples at
-    (dr / refine) * (1 .. refine * n_coarse) after zero extension to n_coarse.
+    (dr / CN_REFINE) * (1 .. CN_REFINE * n_coarse) after zero extension to n_coarse.
     """
     if n_coarse <= rows.shape[1]:
         raise InvalidInput("refinement window must extend past the source support")
-    if refine == 1:
-        out = np.zeros((rows.shape[0], n_coarse), dtype=complex)
-        out[:, :rows.shape[1]] = rows
-        return out
     grid = np.zeros((rows.shape[0], n_coarse), dtype=complex)
     grid[:, 1:rows.shape[1] + 1] = rows
     spec = np.fft.fft(grid, axis=1)
-    n_fine = refine * n_coarse
+    n_fine = CN_REFINE * n_coarse
     half = n_coarse // 2
     pad = np.zeros((rows.shape[0], n_fine), dtype=complex)
     pad[:, :half] = spec[:, :half]
     pad[:, -half:] = spec[:, -half:]
-    fine = np.fft.ifft(pad, axis=1) * refine
+    fine = np.fft.ifft(pad, axis=1) * CN_REFINE
     return np.roll(fine, -1, axis=1)   # samples at dr_f * (1 .. n_fine)
 
 
 def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
-                          n_steps: int | None = None, r_max: float | None = None,
-                          refine: int = 2) -> PolarField:
+                          r_max: float | None = None) -> PolarField:
     """Modewise radial Crank-Nicolson evolution, sharing only the angular basis.
 
     Each retained mode solves i dc/dt = (-d^2/dr^2 - (1/r) d/dr + mu_k / r^2) c
     in Liouville form v = sqrt(r) c, where the operator becomes the real
     symmetric tridiagonal -v'' + (mu_k - 1/4) v / r^2 with Dirichlet walls.
-    `refine` subdivides the source grid spacing to push down the second-order
+    CN_REFINE subdivides the source grid spacing to push down the second-order
     dispersion error of the stencil.  Mass reaching the Dirichlet wall is a
     resolution failure (reflections would contaminate the field).
     """
@@ -448,17 +446,16 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     if r_max is None:
         r_max = float(u0.r[-1]) + 2.0 * abs(t) * (1.5 * k_rad + 2.0)
     n_coarse = max(int(math.ceil(r_max / dr_src)), u0.r.size + 2)
-    dr = dr_src / refine
-    n_r = refine * n_coarse
+    dr = dr_src / CN_REFINE
+    n_r = CN_REFINE * n_coarse
     r = dr * np.arange(1, n_r + 1)
-    if n_steps is None:
-        lam = (1.5 * k_rad + 2.0) ** 2
-        n_steps = max(400, int(math.ceil(abs(t) * lam * 8.0)))
+    lam = (1.5 * k_rad + 2.0) ** 2
+    n_steps = max(400, int(math.ceil(abs(t) * lam * 8.0)))
     dt = t / n_steps
 
     a = modal_coefficients(data, u0)
     keep = _retained_modes(data, a, u0)
-    fine = _spectral_refine(a[keep], n_coarse, refine)
+    fine = _spectral_refine(a[keep], n_coarse)
     sqrt_r = np.sqrt(r)
     out_modes = np.zeros((keep.size, n_r), dtype=complex)
     off = -1.0 / dr ** 2

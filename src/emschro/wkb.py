@@ -27,12 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence, ResonantParameter
-from .galerkin import SpectralDecomposition, pair_modes
+from .galerkin import SpectralDecomposition, loglog_slope, pair_modes
 from .potentials import AngularPotential, default_grid_size, theta_grid
 
 DEFAULT_DELTA = 0.05
 FP_TOL = 1e-13
 MAX_ITER = 200
+BRANCH_TOL = 1e-12       # branch equation: settled when s moves less than this
+MAX_OUTER = 60
+LAMBDA_EFF_S = (1.3, 200.0)   # geometric search range of s = sqrt(lambda - mean a)
 
 
 def half_integer_distance(s: float) -> float:
@@ -53,9 +56,7 @@ class WkbSolution:
     delta: float
 
 
-def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA,
-                tol: float = FP_TOL, max_iter: int = MAX_ITER,
-                grid_n: int | None = None) -> WkbSolution:
+def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA) -> WkbSolution:
     """Solve the correction equation at spectral parameter `lam` by Picard iteration."""
     atil = p.a_mean
     if not lam - atil > 0:
@@ -65,7 +66,7 @@ def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA,
         raise ResonantParameter(
             f"sqrt(lambda - mean(a)) = {s} is within {delta} of a half-integer"
         )
-    n = grid_n or default_grid_size(p)
+    n = default_grid_size(p)
     th = theta_grid(n)
     a = p.a_values(th)
     modes = np.fft.fftfreq(n, 1.0 / n)
@@ -74,7 +75,7 @@ def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA,
     first_step = None
     prev_step = math.inf
     grow = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         g = (atil - a) - W * W
         Wh = np.fft.fft(g) / n / denom
         Wn = np.fft.ifft(Wh) * n
@@ -82,7 +83,7 @@ def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA,
         W = Wn
         if first_step is None:
             first_step = step
-        if step <= tol:
+        if step <= FP_TOL:
             break
         grow = grow + 1 if step > prev_step else 0
         prev_step = step
@@ -91,7 +92,7 @@ def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA,
                 f"correction iteration diverges at lambda = {lam} (step {step:.2e})"
             )
     else:
-        raise NoConvergence(f"no contraction after {max_iter} iterations at lambda = {lam}")
+        raise NoConvergence(f"no contraction after {MAX_ITER} iterations at lambda = {lam}")
     W_coeffs = np.fft.fft(W) / n
     residual = _ode_residual(p, W_coeffs, s, atil)
     return WkbSolution(lam=float(lam), s=s, a_mean=atil, grid_n=n, W=W,
@@ -146,8 +147,7 @@ class AsymptoticEigenpair:
 
 
 def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
-                     delta: float = DEFAULT_DELTA, tol: float = 1e-12,
-                     max_outer: int = 60) -> AsymptoticEigenpair:
+                     delta: float = DEFAULT_DELTA) -> AsymptoticEigenpair:
     """Solve the branch equation for index |j| and build the eigenfunction."""
     if branch not in ("plus", "minus"):
         raise InvalidInput("branch must be 'plus' or 'minus'")
@@ -159,10 +159,10 @@ def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
     atil = p.a_mean
     s = sgn_ab + k
     sol = None
-    for outer in range(1, max_outer + 1):
+    for outer in range(1, MAX_OUTER + 1):
         sol = fixed_point(p, atil + s * s, delta=delta)
         s_new = sgn_ab + k - sol.mean_W.real
-        if abs(s_new - s) <= tol:
+        if abs(s_new - s) <= BRANCH_TOL:
             s = s_new
             break
         s = s_new
@@ -228,17 +228,6 @@ class ResidualTable:
     ell_eff: int
 
 
-def _loglog_slope(js: np.ndarray, vals: np.ndarray) -> float:
-    good = vals > 1e-300
-    if np.sum(good) < 2:
-        return 0.0
-    x = np.log(js[good].astype(float))
-    y = np.log(vals[good])
-    A = np.vstack([x, np.ones_like(x)]).T
-    sl, _ = np.linalg.lstsq(A, y, rcond=None)[0]
-    return float(sl)
-
-
 def asymptotic_residuals(p: AngularPotential, dec: SpectralDecomposition,
                          j_list, grid_n: int = 2048) -> ResidualTable:
     """Eigenvalue and eigenfunction deviation table for the paired indices."""
@@ -266,8 +255,8 @@ def asymptotic_residuals(p: AngularPotential, dec: SpectralDecomposition,
             overlap=pr.overlap, flagged=pr.cluster_flag or pr.ambiguous,
         ))
     jabs = np.array([abs(r.j) for r in rows], dtype=float)
-    eig_slope = _loglog_slope(jabs, np.array([r.eig_residual for r in rows]))
-    fun_slope = _loglog_slope(jabs, np.array([r.sup_R for r in rows]))
+    eig_slope = loglog_slope(jabs, np.array([r.eig_residual for r in rows]))
+    fun_slope = loglog_slope(jabs, np.array([r.sup_R for r in rows]))
     return ResidualTable(rows=rows, eig_slope=eig_slope, fun_slope=fun_slope,
                          ell_eff=_discover_ell_eff(rows))
 
@@ -290,10 +279,9 @@ def _discover_ell_eff(rows: list[ResidualRow]) -> int:
     return int(ell)
 
 
-def discover_lambda_eff(p: AngularPotential, delta: float = DEFAULT_DELTA,
-                        s_start: float = 1.3, s_max: float = 200.0) -> float:
+def discover_lambda_eff(p: AngularPotential, delta: float = DEFAULT_DELTA) -> float:
     """Smallest lambda on a geometric grid where the correction map contracts."""
-    s = s_start
+    s, s_max = LAMBDA_EFF_S
     atil = p.a_mean
     while s <= s_max:
         s_try = s

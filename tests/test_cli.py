@@ -22,7 +22,6 @@ def ab_config(tmp_path):
     return write_config(tmp_path, "ab.json", {
         "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
         "output_dir": str(tmp_path / "out"),
-        "seed": 11,
         "spectrum": {"M": 32, "j_max": 12, "cluster_k_min": 10, "cluster_k_max": 16},
         "wkb": {"M": 32, "j_list": [8, -8, 10]},
         "kernel_scan": {"rho_max": 20.0, "n_rho": 60, "n_theta": 16},
@@ -45,8 +44,7 @@ def test_spectrum_writes_tables_and_sidecar(ab_config, tmp_path):
                  "eigenvalues.csv.meta.json"):
         assert (out / name).exists()
     meta = json.loads((out / "eigenvalues.csv.meta.json").read_text())
-    assert set(meta) == {"config_hash", "seed", "thresholds", "versions"}
-    assert meta["seed"] == 11
+    assert set(meta) == {"config_hash", "thresholds", "versions"}
     assert meta["thresholds"]["resonance_class"] == "non_resonant"
     header = (out / "eigenvalues.csv").read_text().splitlines()[0]
     assert header == "k,mu"
@@ -133,13 +131,40 @@ def test_exit_code_config_errors(tmp_path):
 
 @pytest.mark.parametrize("section,key,value", [
     ("spectrum", "delta", 0.05), ("wkb", "grid_n", 512), ("decay", "preset", "gaussian_ring"),
+    pytest.param(None, "seed", 11, id="top-level-seed-11"),
 ])
 def test_keys_that_changed_nothing_are_config_errors(tmp_path, section, key, value):
-    cfg = write_config(tmp_path, "removed.json", {
+    """Removed keys exit 2; a None section puts the key at the top level."""
+    doc = {"potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+           "output_dir": str(tmp_path / "out")}
+    doc.update({key: value} if section is None else {section: {key: value}})
+    cfg = write_config(tmp_path, "removed.json", doc)
+    assert cli.main([section or "spectrum", cfg]) == cli.EXIT_CONFIG
+
+
+# before list and flag keys were checked, most of these exited 5 or ran on silently
+@pytest.mark.parametrize("section,key,value", [
+    ("kernel_scan", "ells", [200]), ("kernel_scan", "ells", []),
+    ("kernel_scan", "ells", [0, 4]), ("kernel_scan", "ells", [2.5, 4]),
+    ("kernel_scan", "ells", [-3]), ("kernel_scan", "ells", 4),
+    ("kernel_scan", "difference", 1), ("kernel_scan", "full_grid", "yes"),
+    ("decay", "t_list", ["x", 1.0]), ("decay", "t_list", 5), ("decay", "t_list", []),
+    ("decay", "oracle", "true"),
+    ("decay", "snapshots", 0), ("decay", "angular_mode", 1.5),
+    ("wkb", "j_list", [8.5]), ("wkb", "j_list", []), ("wkb", "j_list", [8, 0]),
+    ("spectrum", "M", True), ("spectrum", "k_values", []),
+    ("spectrum", "j_values", [4, 4.5]),
+], ids=lambda v: json.dumps(v) if isinstance(v, list) else None)
+def test_list_and_flag_keys_of_the_wrong_kind_are_config_errors(tmp_path, section, key,
+                                                                value):
+    # a small difference scan, so ells = [200] reaches difference_scan's own refusal
+    given = {"M": 32, "rho_max": 4.0, "n_rho": 8, "n_theta": 8, "difference": True}
+    cfg = write_config(tmp_path, "typed.json", {
         "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
-        section: {key: value},
+        "output_dir": str(tmp_path / "out"),
+        section: {**given, key: value} if section == "kernel_scan" else {key: value},
     })
-    assert cli.main([section, cfg]) == cli.EXIT_CONFIG
+    assert cli.main([section.replace("_", "-"), cfg]) == cli.EXIT_CONFIG
 
 
 def test_exit_code_resolution_failure(ab_config):
@@ -148,10 +173,10 @@ def test_exit_code_resolution_failure(ab_config):
 
 
 def test_validate_maps_results_to_exit_code(monkeypatch):
-    def fake_all_pass(verbose=True):
+    def fake_all_pass():
         return [acceptance.CriterionResult(1, "x", True, "", 0.0)]
 
-    def fake_one_fail(verbose=True):
+    def fake_one_fail():
         return [acceptance.CriterionResult(1, "x", True, "", 0.0),
                 acceptance.CriterionResult(2, "y", False, "", 0.0)]
 

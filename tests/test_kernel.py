@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from emschro import bessel, kernel
 from emschro.errors import HypothesisViolation, InsufficientResolution, InvalidInput
-from emschro.galerkin import compute_spectrum
+from emschro.galerkin import compute_spectrum, pair_modes
 from emschro.kernel import (
     ab_eigendata,
     cutoff_index,
+    difference_scan,
     evaluate_grid,
     from_spectrum,
     i_power,
@@ -154,3 +156,84 @@ def test_kernel_value_rejects_negative_radius():
     data = ab_eigendata(0.3, 20)
     with pytest.raises(InvalidInput):
         kernel_value(data, -1.0, 0.0, 0.0)
+
+
+# -- gap scan against the constant-circulation tail -------------------------------
+
+GAP_RHO_MAX = 4.0          # j_max = int(e * 2) + 24 = 29, all resolved at M = 48
+
+
+@pytest.fixture()
+def small_gap_grid(monkeypatch):
+    monkeypatch.setattr(kernel, "DIFFERENCE_N_RHO", 9)
+    monkeypatch.setattr(kernel, "DIFFERENCE_N_THETA", 6)
+
+
+@pytest.fixture(scope="module")
+def gap_case():
+    p = build_potential(a_coeffs=[0.1, 0.0, 0.1], A_coeffs=[0.3])
+    return compute_spectrum(p, 48), p
+
+
+def _gap_per_ell(dec, p, ells):
+    """(ell, D(ell), terms) by re-summing every pair's term once per ell."""
+    data = from_spectrum(dec)
+    ab = p.reduced_circulation
+    j_max = int(np.e * GAP_RHO_MAX / 2.0) + 24
+    pairs = pair_modes(dec, p, [j for j in range(-j_max, j_max + 1) if abs(j) >= min(ells)])
+    rho = np.linspace(0.0, GAP_RHO_MAX, kernel.DIFFERENCE_N_RHO)
+    th = 2.0 * np.pi * np.arange(kernel.DIFFERENCE_N_THETA) / kernel.DIFFERENCE_N_THETA
+    chi = kernel._gauge_stripped_psi(data, th)
+    dth = th[:, None] - th[None, :]
+    out = []
+    for ell in ells:
+        acc = np.zeros((rho.size, th.size, th.size), dtype=complex)
+        terms = 0
+        for pr in pairs:
+            if abs(pr.j) < ell:
+                continue
+            b = float(data.beta[pr.k])
+            bm = abs(pr.j + ab)
+            acc += np.einsum("r,t,s->rts", i_power(b) * bessel.j_grid(b, rho), chi[pr.k],
+                             np.conj(chi[pr.k]))
+            acc -= np.einsum("r,ts->rts", i_power(bm) * bessel.j_grid(bm, rho),
+                             np.exp(1j * (pr.j + ab) * dth))
+            terms += 1
+        out.append((ell, float(np.max(np.abs(acc))), terms))
+    return out
+
+
+def test_gap_scan_matches_the_per_ell_sum(small_gap_grid, gap_case):
+    dec, p = gap_case
+    ells = (2, 5, 9, 13)
+    rep = difference_scan(dec, p, ells=(9, 2, 13, 5), rho_max=GAP_RHO_MAX)
+    assert [r.ell for r in rep.rows] == list(ells)
+    for row, (ell, ref, terms) in zip(rep.rows, _gap_per_ell(dec, p, ells)):
+        assert row.terms == terms == 2 * (29 - ell + 1)
+        assert abs(row.max_abs - ref) <= 1e-12 * ref
+    assert rep.decreasing
+    vals = np.array([r.max_abs for r in rep.rows])
+    assert rep.slope == pytest.approx(np.polyfit(np.log(ells), np.log(vals), 1)[0], abs=1e-12)
+
+
+def test_gap_scan_evaluates_each_tail_term_once(small_gap_grid, gap_case, monkeypatch):
+    dec, p = gap_case
+    calls = []
+    real = bessel.j_grid
+
+    def spy(nu, r):
+        calls.append(nu)
+        return real(nu, r)
+
+    monkeypatch.setattr(bessel, "j_grid", spy)
+    rep = difference_scan(dec, p, ells=(4, 8, 16), rho_max=GAP_RHO_MAX)
+    pairs = rep.rows[0].terms      # the smallest ell counts every pair
+    assert len(calls) == 2 * pairs
+
+
+@pytest.mark.parametrize("ells", [(), (0, 4), (4, 30)])
+def test_gap_scan_refuses_ells_outside_the_paired_range(small_gap_grid, gap_case, ells):
+    dec, p = gap_case
+    with pytest.raises(InvalidInput):
+        difference_scan(dec, p, ells=ells, rho_max=GAP_RHO_MAX)
+
