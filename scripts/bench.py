@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Before/after benchmark record: perfbench on a git rev and on HEAD.
 
-Both commits are checked out in temporary `git worktree`s (under $TMPDIR,
-removed on exit), so the record names exactly the code it measured; the
-script refuses to run while tracked files differ from HEAD.  For every
+Both commits are unpacked with `git archive` into temporary directories
+(under $TMPDIR, removed on exit), so the record names exactly the code it
+measured; the script refuses to run while tracked files differ from HEAD.  For every
 BENCHMARK.json workload it runs the benchmark command (`perfbench/run.py`, at
 its `run_seconds`) on both checkouts in PAIRS alternating pairs, the rev first
 in even pairs and HEAD first in odd ones, both sides of a pair on the same
@@ -77,39 +77,38 @@ def main() -> int:
         "pairs": PAIRS, "workloads": {},
     }
     # a terminated run still unwinds: the running benchmark is killed and the
-    # worktrees removed
+    # checkouts removed
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
     with tempfile.TemporaryDirectory(prefix="emschro-bench-") as tmp:
         checkouts = {side: Path(tmp) / side for side in shas}
-        try:
-            for side, sha in shas.items():
-                git("worktree", "add", "--detach", str(checkouts[side]), sha)
-            for name in (w["name"] for w in spec["workloads"]):
-                sides = {"rev": [], "head": []}
-                for i in range(PAIRS):
-                    order = list(checkouts.items())
-                    for side, checkout in order if i % 2 == 0 else order[::-1]:
-                        run = run_once(checkout, spec["command"], name, args.seed + i,
-                                       spec["run_seconds"])
-                        sides[side].append(run)
-                        print(f"{name} pair {i} {side}: {json.dumps(run['metrics'])}",
-                              flush=True)
-                wins = {}
-                for m in metrics:
-                    sign = 1.0 if m["better"] == "lower" else -1.0
-                    wins[m["name"]] = sum(
-                        sign * (rev["metrics"][m["name"]] - head["metrics"][m["name"]]) > 0
-                        for rev, head in zip(sides["rev"], sides["head"]))
-                record["workloads"][name] = {
-                    "seeds": [args.seed + i for i in range(PAIRS)],
-                    **{side: {"summary": {m["name"]: summary(runs, m["name"]) for m in metrics},
-                              "runs": runs} for side, runs in sides.items()},
-                    "head_wins": wins,
-                }
-        finally:
-            for checkout in checkouts.values():
-                if checkout.exists():
-                    git("worktree", "remove", "--force", str(checkout))
+        for side, sha in shas.items():
+            checkouts[side].mkdir()
+            archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                                     capture_output=True).stdout
+            subprocess.run(["tar", "-x", "-C", str(checkouts[side])], input=archive,
+                           check=True)
+        for name in (w["name"] for w in spec["workloads"]):
+            sides = {"rev": [], "head": []}
+            for i in range(PAIRS):
+                order = list(checkouts.items())
+                for side, checkout in order if i % 2 == 0 else order[::-1]:
+                    run = run_once(checkout, spec["command"], name, args.seed + i,
+                                   spec["run_seconds"])
+                    sides[side].append(run)
+                    print(f"{name} pair {i} {side}: {json.dumps(run['metrics'])}",
+                          flush=True)
+            wins = {}
+            for m in metrics:
+                sign = 1.0 if m["better"] == "lower" else -1.0
+                wins[m["name"]] = sum(
+                    sign * (rev["metrics"][m["name"]] - head["metrics"][m["name"]]) > 0
+                    for rev, head in zip(sides["rev"], sides["head"]))
+            record["workloads"][name] = {
+                "seeds": [args.seed + i for i in range(PAIRS)],
+                **{side: {"summary": {m["name"]: summary(runs, m["name"]) for m in metrics},
+                          "runs": runs} for side, runs in sides.items()},
+                "head_wins": wins,
+            }
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")

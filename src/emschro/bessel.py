@@ -1,10 +1,20 @@
 """Bessel J evaluation for real nonnegative order: one vectorized surface.
 
-`j_grid` is the only J_nu evaluator.  It splits the radii into two regimes:
-an ascending power series for r <= max(12, nu/2), where the series is
-absolutely convergent with bounded cancellation, and scipy's Amos backend for
-larger arguments.  Against 30-digit mpmath references both regimes stay below
-2e-12 absolute error (tests/test_bessel.py checks this across the switch).
+`j_grid` is the only J_nu evaluator.  It splits the radii into three regimes:
+
+- an ascending power series for x <= max(12, nu/2), where the series is
+  absolutely convergent with bounded cancellation;
+- Hankel's asymptotic expansion J_nu(x) = sqrt(2/(pi x)) [P cos w - Q sin w],
+  w = x - nu pi/2 - pi/4, with ASYMPTOTIC_PAIRS term pairs of P and Q, for
+  x >= `asymptotic_switch_radius(nu)`;
+- scipy's Amos backend in between, and for every x when nu >= 2K + 1/2.
+
+For real nu and 2K > nu - 1/2, the remainders of P and Q after K terms each
+are smaller than their first omitted terms (Watson, A Treatise on the Theory
+of Bessel Functions, sec. 7.32).  The switch is where both omitted terms are
+at most 2^-53, so the truncation is certified, not tuned.  Against 30-digit
+mpmath references every regime stays below 2e-12 absolute error
+(tests/test_bessel.py checks this across both switches).
 The tail majorant (rho/2)^nu / Gamma(nu+1) (valid for every real rho >= 0 and
 nu >= 0) is what kernel truncation uses.
 """
@@ -20,6 +30,11 @@ from scipy.special import jv as _scipy_jv
 from .errors import InvalidInput, NoConvergence, UnsupportedOrder
 
 SERIES_SWITCH_FLOOR = 12.0
+ASYMPTOTIC_PAIRS = 8            # K: term pairs of P and Q in Hankel's expansion
+# Half-integer orders make Watson's radius 0; from x = 20 on, no term of P or
+# Q exceeds 55 for any order the expansion serves, so rounding stays a few ulps.
+ASYMPTOTIC_SWITCH_FLOOR = 20.0
+ASYMPTOTIC_BLOCK = 16384        # values per block of the expansion (bounds temporaries)
 
 
 def _check_order(nu) -> float:
@@ -39,19 +54,84 @@ def series_switch_radius(nu: float) -> float:
     return max(SERIES_SWITCH_FLOOR, nu / 2.0)
 
 
+def _hankel_coefficients(nu: float, n: int) -> list[float]:
+    """a_k(nu) = prod_{i<=k} (4 nu^2 - (2i-1)^2) / (k! 8^k) for k = 0 .. n-1."""
+    a = [1.0]
+    for k in range(1, n):
+        # (2 nu - (2k-1)) is exact near half-integer nu, where the factor vanishes
+        a.append(a[-1] * ((2.0 * nu - (2 * k - 1)) * (2.0 * nu + (2 * k - 1))) / (8.0 * k))
+    return a
+
+
+def asymptotic_switch_radius(nu: float) -> float:
+    """Smallest x from which `j_grid` uses Hankel's expansion; inf where Watson's bound fails.
+
+    Both omitted terms |a_2K| / x^2K and |a_2K+1| / x^(2K+1) are <= 2^-53 from
+    here on.  Never below `series_switch_radius` or ASYMPTOTIC_SWITCH_FLOOR.
+    """
+    nuf = _check_order(nu)
+    n = 2 * ASYMPTOTIC_PAIRS
+    if n <= nuf - 0.5:
+        return math.inf
+    radius = max(series_switch_radius(nuf), ASYMPTOTIC_SWITCH_FLOOR)
+    for k, a in enumerate(_hankel_coefficients(nuf, n + 2)[n:], start=n):
+        if a != 0.0:
+            # (1 + 1e-12) absorbs the rounding of the root
+            radius = max(radius, math.exp((math.log(abs(a)) + 53.0 * math.log(2.0)) / k)
+                         * (1.0 + 1e-12))
+    return radius
+
+
 def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
-    """J_nu at every radius of an array, series below the switch radius, scipy above."""
+    """J_nu at every radius of an array: series, scipy, then Hankel's expansion."""
     nuf = _check_order(nu)
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0):
         raise InvalidInput("arguments must be nonnegative")
     out = np.empty(rr.shape, dtype=float)
-    cut = series_switch_radius(nuf)
-    small = rr <= cut
+    small = rr <= series_switch_radius(nuf)
+    large = rr >= asymptotic_switch_radius(nuf)   # that radius exceeds the series one
+    mid = ~(small | large)
     if np.any(small):
         out[small] = _series_vec(nuf, rr[small])
-    if np.any(~small):
-        out[~small] = _scipy_jv(nuf, rr[~small])
+    if np.any(mid):
+        out[mid] = _scipy_jv(nuf, rr[mid])
+    idx = np.flatnonzero(large)
+    if idx.size:
+        flat_r, flat_out = rr.reshape(-1), out.reshape(-1)
+        a = _hankel_coefficients(nuf, 2 * ASYMPTOTIC_PAIRS)
+        for b0 in range(0, idx.size, ASYMPTOTIC_BLOCK):
+            sel = idx[b0:b0 + ASYMPTOTIC_BLOCK]
+            flat_out[sel] = _hankel_asymptotic(nuf, a, flat_r[sel])
+    return out
+
+
+def _hankel_asymptotic(nu: float, a: list[float], x: np.ndarray) -> np.ndarray:
+    """sqrt(2/(pi x)) [P cos w - Q sin w] with P, Q from the coefficients a, w = x - phi.
+
+    cos w and sin w come from cos x and sin x of the exact x (one complex
+    exp of i x gives both): forming x - phi first would round away an ulp of x.
+    """
+    y2 = -1.0 / (x * x)   # P and Q alternate in sign
+    p = np.full_like(x, a[-2])
+    q = np.full_like(x, a[-1])
+    for k in range(len(a) - 4, -1, -2):
+        p *= y2
+        p += a[k]
+        q *= y2
+        q += a[k + 1]
+    q /= x
+    e = np.empty(x.shape, dtype=complex)
+    e.real = 0.0
+    e.imag = x
+    np.exp(e, out=e)
+    # phi = (2 nu + 1) pi / 4, reduced exactly modulo 2 pi
+    phi = math.fmod(2.0 * nu + 1.0, 8.0) * (math.pi / 4.0)
+    c, s = math.cos(phi), math.sin(phi)
+    # P cos w - Q sin w = cos x (P c + Q s) + sin x (P s - Q c)
+    out = (p * c + q * s) * e.real
+    out += (p * s - q * c) * e.imag
+    out *= np.sqrt(2.0 / math.pi / x)
     return out
 
 

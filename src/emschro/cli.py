@@ -211,6 +211,8 @@ def _is_pure_ab(p) -> bool:
 def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
     sec = cfg.section("kernel_scan")
     p = cfg.potential
+    if sec["difference"]:
+        kernel.difference_ells(sec["ells"], sec["rho_max"])   # refused before any work
     dec = galerkin.compute_spectrum(p, sec["M"])
     data = kernel.from_spectrum(dec, count=sec["count"])
     scan = kernel.sup_scan(data, rho_max=sec["rho_max"], n_rho=sec["n_rho"],

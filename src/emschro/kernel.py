@@ -320,6 +320,19 @@ class DifferenceReport:
     slope: float
 
 
+def difference_ells(ells, rho_max: float) -> tuple[list[int], int]:
+    """(sorted ells, j_max) for a gap scan to rho_max; InvalidInput unless 1 <= ell <= j_max.
+
+    Both tails of `difference_scan` stop at j_max = floor(e rho_max / 2) + 24:
+    orders above it contribute below DEFAULT_TOL for every rho in range.
+    """
+    ells = sorted(int(e) for e in ells)
+    j_max = int(math.e * rho_max / 2.0) + 24
+    if not ells or ells[0] < 1 or ells[-1] > j_max:
+        raise InvalidInput(f"ells must be integers in 1..{j_max} at rho_max = {rho_max}")
+    return ells, j_max
+
+
 def difference_scan(dec: SpectralDecomposition, p: AngularPotential,
                     ells=(4, 8, 16), rho_max: float = 50.0) -> DifferenceReport:
     """D(ell) = max over the grid of |Sigma_{|j|>=ell} - e^{i Abar dtheta} Sigma^{ab}_{|j|>=ell}|.
@@ -331,13 +344,9 @@ def difference_scan(dec: SpectralDecomposition, p: AngularPotential,
     with negated weight.  Bands of |j| are added from the top down, so D(ell)
     reads the running sum once every |j| >= ell is in.
     """
+    ells, j_max = difference_ells(ells, rho_max)
     data = from_spectrum(dec)
     ab = p.reduced_circulation
-    ells = sorted(int(e) for e in ells)
-    # orders above this contribute below DEFAULT_TOL for every rho in range
-    j_max = int(math.e * rho_max / 2.0) + 24
-    if not ells or ells[0] < 1 or ells[-1] > j_max:
-        raise InvalidInput(f"ells must be integers in 1..{j_max} at rho_max = {rho_max}")
     pairs = pair_modes(dec, p, [j for j in range(-j_max, j_max + 1) if abs(j) >= ells[0]])
     if max(pr.k for pr in pairs) >= data.count:
         raise InsufficientResolution("increase Galerkin size: tail modes unresolved")

@@ -14,7 +14,9 @@ that the source-resolution rule, the mode supports and the modes' own
 bandwidth allow (`_source_stride`).  Requested output radii are not
 evaluated one by one: the integrals are computed on that rule's s grid and
 carried onto the requested s by regularised sinc interpolation, under a
-holdout check against direct evaluation (`_interpolated_integrals`).
+holdout check against direct evaluation (`_interpolated_integrals`).  What
+depends on u0 alone (bandwidth, modal coefficients, kept modes, norms) is
+computed once per sweep of t (`_Source`).
 
 Negative times are handled once, in `_evolve_core`: for real a and A the
 reversed field -A has the eigendata (mu_k, conj psi_k) exactly, so
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -231,6 +234,40 @@ def _flip_eigendata(data: KernelEigendata) -> KernelEigendata:
                    potential=AngularPotential(p.a_coeffs, -p.A_coeffs))
 
 
+class _Source:
+    """u0 against one eigenbasis, with what the flow derives from u0 alone.
+
+    Each quantity is computed on first use and kept, so one instance serves
+    a whole sweep of t.  `mirror` is the source of the t < 0 run (reversed
+    field, conj u0): it shares the bandwidth, which conjugation leaves
+    unchanged, and projects its own coefficients once, since conj(a) differs
+    from that projection in the last bits.
+    """
+
+    def __init__(self, data: KernelEigendata, u0: PolarField, parent: _Source | None = None):
+        self.data, self.u0, self._parent = data, u0, parent
+
+    @cached_property
+    def bandwidth(self) -> float:
+        return self._parent.bandwidth if self._parent else radial_bandwidth(self.u0)
+
+    @cached_property
+    def l1(self) -> float:
+        return self.u0.l1_norm()
+
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(kept mode indices, their coefficient rows, their angular rows)."""
+        a = modal_coefficients(self.data, self.u0)
+        keep = _retained_modes(self.data, a, self.u0)
+        return keep, a[keep], self.data.psi_values(self.u0.thetas())[keep]
+
+    @cached_property
+    def mirror(self) -> _Source:
+        return _Source(_flip_eigendata(self.data),
+                       replace(self.u0, values=np.conj(self.u0.values)), parent=self)
+
+
 def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
                       t: float, s: np.ndarray) -> np.ndarray:
     """I_k(s) = int J_{beta_k}(s r') e^{i r'^2/4t} a_k(r') r' dr' for each row of a."""
@@ -343,15 +380,14 @@ def _modal_masses(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray, t: float,
     return masses
 
 
-def _evaluation_grid(u0: PolarField, t: float) -> np.ndarray:
-    k_rad = radial_bandwidth(u0)
+def _evaluation_grid(u0: PolarField, t: float, k_rad: float) -> np.ndarray:
+    """The automatic s grid for u0 with radial bandwidth k_rad."""
     r_eval = float(u0.r[-1]) + 2.0 * t * (1.25 * k_rad + 1.0)
     ds = math.pi / (S_OVERSAMPLE * float(u0.r[-1]))
     return ds * np.arange(int(math.ceil(r_eval / (2.0 * t) / ds)) + 1)
 
 
-def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
-                 r_out: np.ndarray | None):
+def _evolve_core(src: _Source, t: float, r_out: np.ndarray | None):
     """Evolution internals: (field, s grid, I rows, source radii, a rows, kept indices).
 
     The source radii and the kept a rows are the sub-grid `_source_stride`
@@ -362,11 +398,11 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
     unchanged.
     """
     if t < 0.0:
-        mirror, s, I, r_src, a, keep = _evolve_core(
-            _flip_eigendata(data), replace(u0, values=np.conj(u0.values)), -t, r_out)
+        mirror, s, I, r_src, a, keep = _evolve_core(src.mirror, -t, r_out)
         return replace(mirror, values=np.conj(mirror.values), t=t), s, I, r_src, a, keep
+    data, u0 = src.data, src.u0
     if r_out is None:
-        s = _evaluation_grid(u0, t)
+        s = _evaluation_grid(u0, t, src.bandwidth)
     else:
         r_out = np.asarray(r_out, dtype=float)
         if np.any(r_out < 0):
@@ -375,13 +411,11 @@ def _evolve_core(data: KernelEigendata, u0: PolarField, t: float,
         s = r_out / (2.0 * t)
     _check_source_resolution(u0, float(np.max(s)), t)
 
-    a = modal_coefficients(data, u0)
-    keep = _retained_modes(data, a, u0)
-    betas, a = data.beta[keep], a[keep]   # frees the all-mode matrix before the quadrature
+    keep, a, Psi = src.modes
+    betas = data.beta[keep]
     routed = None if r_out is None else _interpolated_integrals(betas, a, u0.r, t, s)
     r_src, a, I = routed or _direct_integrals(betas, a, u0.r, t, s)
     phases = np.array([kernel.i_power(float(b)) for b in betas])
-    Psi = data.psi_values(u0.thetas())[keep]
     prefac = np.exp(1j * t * s ** 2) / (2.0j * t)
     values = np.einsum("s,k,ks,kj->sj", prefac, phases, I, Psi, optimize=True)
     return PolarField(r=2.0 * t * s, values=values, t=t), s, I, r_src, a, keep
@@ -392,7 +426,7 @@ def evolve(data: KernelEigendata, u0: PolarField, t: float,
     """Apply the flow for time t via the Bessel-series representation."""
     if t == 0.0:
         return replace(u0, t=0.0)
-    return _evolve_core(data, u0, t, r_out)[0]
+    return _evolve_core(_Source(data, u0), t, r_out)[0]
 
 
 def free_evolution(u0: PolarField, t: float, r_out: np.ndarray | None = None) -> PolarField:
@@ -441,8 +475,9 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     if t == 0.0:
         return replace(u0, t=0.0)
 
+    src = _Source(data, u0)
     dr_src = float(u0.r[1] - u0.r[0])
-    k_rad = radial_bandwidth(u0)
+    k_rad = src.bandwidth
     if r_max is None:
         r_max = float(u0.r[-1]) + 2.0 * abs(t) * (1.5 * k_rad + 2.0)
     n_coarse = max(int(math.ceil(r_max / dr_src)), u0.r.size + 2)
@@ -453,9 +488,8 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     n_steps = max(400, int(math.ceil(abs(t) * lam * 8.0)))
     dt = t / n_steps
 
-    a = modal_coefficients(data, u0)
-    keep = _retained_modes(data, a, u0)
-    fine = _spectral_refine(a[keep], n_coarse)
+    keep, a_keep, Psi = src.modes
+    fine = _spectral_refine(a_keep, n_coarse)
     sqrt_r = np.sqrt(r)
     out_modes = np.zeros((keep.size, n_r), dtype=complex)
     off = -1.0 / dr ** 2
@@ -475,7 +509,6 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
             rhs[:-1] += -1j * dt / 2.0 * off * v[1:]
             v = solve_banded((1, 1), ab, rhs)
         out_modes[row] = v / sqrt_r
-    Psi = data.psi_values(u0.thetas())[keep]
     values = out_modes.T @ Psi
     field = PolarField(r=r, values=values, t=t)
     # reflection monitor: mass within 2% of the wall must be negligible
@@ -518,16 +551,20 @@ class EvolutionResult:
 
 def evolve_result(data: KernelEigendata, u0: PolarField, t: float) -> EvolutionResult:
     """Evolve on the automatic grid; L2 from per-mode masses (endpoint-corrected)."""
+    return _result(_Source(data, u0), t)
+
+
+def _result(src: _Source, t: float) -> EvolutionResult:
+    u0 = src.u0
     if t == 0.0:
         return EvolutionResult(t=0.0, field=replace(u0, t=0.0), sup_norm=u0.sup_norm(),
                                l2_norm=u0.l2_norm(), decay_functional=0.0)
-    l1 = u0.l1_norm()
-    field, s, I, r_src, a, keep = _evolve_core(data, u0, t, None)
-    masses = _modal_masses(data.beta[keep], a, r_src, abs(t), s, I)
+    field, s, I, r_src, a, keep = _evolve_core(src, t, None)
+    masses = _modal_masses(src.data.beta[keep], a, r_src, abs(t), s, I)
     sup = field.sup_norm()
     return EvolutionResult(t=float(t), field=field, sup_norm=sup,
                            l2_norm=math.sqrt(float(np.sum(masses))),
-                           decay_functional=abs(t) * sup / l1)
+                           decay_functional=abs(t) * sup / src.l1)
 
 
 @dataclass(frozen=True)
@@ -546,15 +583,16 @@ def decay_profile(data: KernelEigendata, u0: PolarField, times) -> DecayReport:
     positive = [abs(t) for t in ts if t != 0.0]
     if len(positive) < 2 or max(positive) < 1e3 * min(positive):
         raise InvalidInput("decay sweep must span at least three decades of t")
+    src = _Source(data, u0)   # u0-only work, once for the sweep
     l2_0 = u0.l2_norm()
     rows = []
     drift = 0.0
     for t in ts:
-        res = evolve_result(data, u0, t)
+        res = _result(src, t)
         rows.append(res)
         drift = max(drift, abs(res.l2_norm - l2_0) / l2_0)
     vals = np.array([r.decay_functional for r in rows])
-    return DecayReport(rows=rows, l1_initial=u0.l1_norm(), l2_initial=l2_0,
+    return DecayReport(rows=rows, l1_initial=src.l1, l2_initial=l2_0,
                        empirical_constant=float(np.max(vals)),
                        max_over_median=float(np.max(vals) / np.median(vals)),
                        l2_max_drift=drift)

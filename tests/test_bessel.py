@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emschro import bessel
@@ -53,14 +53,59 @@ def test_grid_matches_mpmath_across_the_switch(nu, frac):
 
 
 def test_regime_switch_is_seamless():
-    for nu in (0.3, 6.0, 28.0):
-        cut = bessel.series_switch_radius(nu)
+    cases = [(nu, bessel.series_switch_radius(nu)) for nu in (0.3, 6.0, 28.0)]
+    cases.append((1.3, bessel.asymptotic_switch_radius(1.3)))   # scipy -> Hankel
+    for nu, cut in cases:
         r = np.linspace(cut - 0.5, cut + 0.5, 101)
         vals = bessel.j_grid(nu, r)
         jumps = np.abs(np.diff(vals))
         assert np.max(jumps) < 0.1  # no discontinuity at the route boundary
         from scipy.special import jv
         assert np.allclose(vals, jv(nu, r), atol=1e-11)
+
+
+HALF_INTEGERS = [k + 0.5 for k in range(16)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.one_of(st.floats(0.0, 16.0), st.sampled_from(HALF_INTEGERS)),
+       u=st.floats(0.0, 1.0), far=st.booleans())
+@example(nu=15.5, u=0.0, far=False)   # largest terms of P and Q at the floor
+def test_hankel_regime_matches_mpmath(nu, u, far):
+    # x from the switch to twice the switch, or log-uniform out to 1e4
+    cut = bessel.asymptotic_switch_radius(nu)
+    x = cut * (1e4 / cut) ** u if far else cut * (1.0 + u)
+    with mpmath.workdps(30):
+        ref = float(mpmath.besselj(nu, x))
+    assert abs(float(bessel.j_grid(nu, x)) - ref) <= 2e-12
+
+
+def test_asymptotic_switch_is_certified():
+    K = bessel.ASYMPTOTIC_PAIRS
+    for nu in [*np.linspace(0.0, 20.0, 401), *HALF_INTEGERS, 2 * K + 0.5,
+               math.nextafter(2 * K + 0.5, 0.0)]:
+        cut = bessel.asymptotic_switch_radius(nu)
+        # Watson's bound holds only where 2K > nu - 1/2
+        assert math.isinf(cut) == (2 * K <= nu - 0.5)
+        if math.isinf(cut):
+            continue
+        assert cut >= max(bessel.series_switch_radius(nu), bessel.ASYMPTOTIC_SWITCH_FLOOR)
+        a = 1.0   # a_k(nu) = prod_{i<=k} (4 nu^2 - (2i-1)^2) / (k! 8^k)
+        for k in range(1, 2 * K + 2):
+            a *= (4.0 * nu * nu - (2 * k - 1) ** 2) / (8.0 * k)
+            if k >= 2 * K:
+                assert abs(a) / cut ** k <= 2.0 ** -53
+
+
+def test_blocked_hankel_regime_matches_elementwise():
+    nu = 1.3
+    n = 2 * (bessel.ASYMPTOTIC_BLOCK // 2 + 501)   # one block and a part
+    x = np.linspace(bessel.asymptotic_switch_radius(nu), 900.0, n)
+    x = np.random.default_rng(5).permutation(x).reshape(2, -1)
+    grid = bessel.j_grid(nu, x)
+    assert grid.shape == x.shape
+    single = np.array([float(bessel.j_grid(nu, v)) for v in x.ravel()]).reshape(x.shape)
+    assert np.array_equal(grid, single)
 
 
 def test_order_and_argument_validation():

@@ -157,7 +157,7 @@ def test_keys_that_changed_nothing_are_config_errors(tmp_path, section, key, val
 ], ids=lambda v: json.dumps(v) if isinstance(v, list) else None)
 def test_list_and_flag_keys_of_the_wrong_kind_are_config_errors(tmp_path, section, key,
                                                                 value):
-    # a small difference scan, so ells = [200] reaches difference_scan's own refusal
+    # a small difference scan, so ells = [200] meets the j_max rule (j_max = 34 here)
     given = {"M": 32, "rho_max": 4.0, "n_rho": 8, "n_theta": 8, "difference": True}
     cfg = write_config(tmp_path, "typed.json", {
         "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
@@ -165,6 +165,19 @@ def test_list_and_flag_keys_of_the_wrong_kind_are_config_errors(tmp_path, sectio
         section: {**given, key: value} if section == "kernel_scan" else {key: value},
     })
     assert cli.main([section.replace("_", "-"), cfg]) == cli.EXIT_CONFIG
+
+
+def test_out_of_range_ells_are_refused_before_any_work(tmp_path, monkeypatch):
+    solved = []
+    monkeypatch.setattr(galerkin, "compute_spectrum", lambda *args: solved.append(args))
+    cfg = write_config(tmp_path, "ells.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "kernel_scan": {"M": 32, "rho_max": 4.0, "n_rho": 8, "n_theta": 8,
+                        "difference": True, "ells": [200]},
+    })
+    assert cli.main(["kernel-scan", cfg]) == cli.EXIT_CONFIG
+    assert solved == []
 
 
 def test_exit_code_resolution_failure(ab_config):

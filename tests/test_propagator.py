@@ -189,7 +189,7 @@ def ring_3886():
 
 
 def _stride_inputs(data, u0, t):
-    s = _evaluation_grid(u0, t)
+    s = _evaluation_grid(u0, t, radial_bandwidth(u0))
     a = modal_coefficients(data, u0)
     keep = _retained_modes(data, a, u0)
     return a[keep], s, data.beta[keep]
@@ -276,7 +276,7 @@ def test_requested_grid_reads_only_the_rule_grid(monkeypatch, data_ab):
     assert sum(sizes) <= coarse + HOLDOUT_POINTS < cn.r.size // 5
     # the automatic grid is no larger than the interpolation's own: direct route
     sizes.clear()
-    r_auto = 2.0 * t * _evaluation_grid(u0, t)
+    r_auto = 2.0 * t * _evaluation_grid(u0, t, radial_bandwidth(u0))
     evolve(data_ab, u0, t, r_out=r_auto)
     assert sizes == [r_auto.size]
 
@@ -353,6 +353,23 @@ def test_angular_completeness_guard(ring_m1):
 def test_decay_profile_needs_three_decades(ring_m1, data_ab):
     with pytest.raises(InvalidInput):
         decay_profile(data_ab, ring_m1, [1.0, 2.0, 4.0])
+
+
+def test_decay_profile_does_u0_work_once_per_sweep(monkeypatch, ring_m1, data_ab):
+    calls = {"modal_coefficients": 0, "radial_bandwidth": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(propagator, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(propagator, name, counted)
+    times = [0.5, -0.5, 5.0, -50.0, 500.0]
+    rep = decay_profile(data_ab, ring_m1, times)
+    # one projection of u0 and one of the mirror's conj(u0); the bandwidth is shared
+    assert calls == {"modal_coefficients": 2, "radial_bandwidth": 1}
+    for row, t in zip(rep.rows, times):
+        single = evolve_result(data_ab, ring_m1, t)
+        assert row.sup_norm == single.sup_norm and row.l2_norm == single.l2_norm
+    assert rep.l1_initial == ring_m1.l1_norm()
 
 
 def test_relative_difference_requires_matching_grids(ring_m1):
