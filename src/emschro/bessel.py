@@ -89,19 +89,21 @@ def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
     if np.any(rr < 0):
         raise InvalidInput("arguments must be nonnegative")
     out = np.empty(rr.shape, dtype=float)
-    small = rr <= series_switch_radius(nuf)
-    large = rr >= asymptotic_switch_radius(nuf)   # that radius exceeds the series one
-    mid = ~(small | large)
-    if np.any(small):
-        out[small] = _series_vec(nuf, rr[small])
-    if np.any(mid):
-        out[mid] = _scipy_jv(nuf, rr[mid])
-    idx = np.flatnonzero(large)
-    if idx.size:
-        flat_r, flat_out = rr.reshape(-1), out.reshape(-1)
+    flat_r, flat_out = rr.reshape(-1), out.reshape(-1)
+    mask = flat_r <= series_switch_radius(nuf)
+    if np.any(mask):
+        flat_out[mask] = _series_vec(nuf, flat_r[mask])
+    # the asymptotic radius exceeds the series one; one mask at a time bounds memory
+    large = np.flatnonzero(flat_r >= asymptotic_switch_radius(nuf))
+    mask = np.logical_not(mask, out=mask)
+    mask[large] = False
+    if np.any(mask):
+        flat_out[mask] = _scipy_jv(nuf, flat_r[mask])
+    del mask
+    if large.size:
         a = _hankel_coefficients(nuf, 2 * ASYMPTOTIC_PAIRS)
-        for b0 in range(0, idx.size, ASYMPTOTIC_BLOCK):
-            sel = idx[b0:b0 + ASYMPTOTIC_BLOCK]
+        for b0 in range(0, large.size, ASYMPTOTIC_BLOCK):
+            sel = large[b0:b0 + ASYMPTOTIC_BLOCK]
             flat_out[sel] = _hankel_asymptotic(nuf, a, flat_r[sel])
     return out
 

@@ -239,17 +239,17 @@ class _Source:
 
     Each quantity is computed on first use and kept, so one instance serves
     a whole sweep of t.  `mirror` is the source of the t < 0 run (reversed
-    field, conj u0): it shares the bandwidth, which conjugation leaves
-    unchanged, and projects its own coefficients once, since conj(a) differs
-    from that projection in the last bits.
+    field, conj u0), built once per sweep.  It projects its own coefficients,
+    since conj(a) differs from that projection in the last bits, and holds no
+    reference back, so a sweep's sources are freed as soon as it ends.
     """
 
-    def __init__(self, data: KernelEigendata, u0: PolarField, parent: _Source | None = None):
-        self.data, self.u0, self._parent = data, u0, parent
+    def __init__(self, data: KernelEigendata, u0: PolarField):
+        self.data, self.u0 = data, u0
 
     @cached_property
     def bandwidth(self) -> float:
-        return self._parent.bandwidth if self._parent else radial_bandwidth(self.u0)
+        return radial_bandwidth(self.u0)
 
     @cached_property
     def l1(self) -> float:
@@ -264,8 +264,7 @@ class _Source:
 
     @cached_property
     def mirror(self) -> _Source:
-        return _Source(_flip_eigendata(self.data),
-                       replace(self.u0, values=np.conj(self.u0.values)), parent=self)
+        return _Source(_flip_eigendata(self.data), replace(self.u0, values=np.conj(self.u0.values)))
 
 
 def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,

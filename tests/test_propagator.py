@@ -364,8 +364,8 @@ def test_decay_profile_does_u0_work_once_per_sweep(monkeypatch, ring_m1, data_ab
         monkeypatch.setattr(propagator, name, counted)
     times = [0.5, -0.5, 5.0, -50.0, 500.0]
     rep = decay_profile(data_ab, ring_m1, times)
-    # one projection of u0 and one of the mirror's conj(u0); the bandwidth is shared
-    assert calls == {"modal_coefficients": 2, "radial_bandwidth": 1}
+    # once for u0 and once for the mirror's conj(u0), not once per t
+    assert calls == {"modal_coefficients": 2, "radial_bandwidth": 2}
     for row, t in zip(rep.rows, times):
         single = evolve_result(data_ab, ring_m1, t)
         assert row.sup_norm == single.sup_norm and row.l2_norm == single.l2_norm
