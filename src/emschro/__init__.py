@@ -35,8 +35,10 @@ from .propagator import (
     crank_nicolson_oracle,
     decay_profile,
     evolve,
+    evolve_result,
     free_evolution,
     gaussian_ring,
+    load_field,
 )
 from .wkb import asymptotic_residuals, fixed_point, solve_eigenvalue
 
@@ -65,11 +67,13 @@ __all__ = [
     "crank_nicolson_oracle",
     "decay_profile",
     "evolve",
+    "evolve_result",
     "fixed_point",
     "free_evolution",
     "from_spectrum",
     "gaussian_ring",
     "kernel_value",
+    "load_field",
     "solve_eigenvalue",
     "sup_scan",
     "theta_grid",

@@ -198,7 +198,7 @@ def landau_bound_check(nu_max: int = 500, n_r: int = 2000) -> LandauReport:
     best = -1.0
     arg = (1.0, 0.0)
     for nu in range(1, nu_max + 1):
-        vals = np.abs(_scipy_jv(float(nu), rg)) * nu ** (1.0 / 3.0)
+        vals = np.abs(j_grid(float(nu), rg)) * nu ** (1.0 / 3.0)
         i = int(np.argmax(vals))
         if vals[i] > best:
             best = float(vals[i])
@@ -207,7 +207,7 @@ def landau_bound_check(nu_max: int = 500, n_r: int = 2000) -> LandauReport:
     nu0, r0 = arg
     dr = rg[1] - rg[0]
     fine = np.linspace(max(0.0, r0 - 2 * dr), r0 + 2 * dr, 101)
-    vals = np.abs(_scipy_jv(nu0, fine)) * nu0 ** (1.0 / 3.0)
+    vals = np.abs(j_grid(nu0, fine)) * nu0 ** (1.0 / 3.0)
     i = int(np.argmax(vals))
     if vals[i] > best:
         best = float(vals[i])

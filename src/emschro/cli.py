@@ -31,7 +31,7 @@ from .errors import (
     ResonantParameter,
     SymmetryViolation,
 )
-from .potentials import ResonanceClass, classify_resonance
+from .potentials import ResonanceClass, classify_resonance, require_non_resonant
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -170,10 +170,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
 def cmd_wkb(cfg: ExperimentConfig, out_dir: str | None) -> int:
     sec = cfg.section("wkb")
     p = cfg.potential
-    if classify_resonance(p) is not ResonanceClass.NON_RESONANT:
-        raise ResonantParameter(
-            "wkb requires a non-resonant circulation; use the spectrum command"
-        )
+    require_non_resonant(p)
     dec = galerkin.compute_spectrum(p, sec["M"])
     if dec.resolved_count == 0:
         raise InsufficientResolution(

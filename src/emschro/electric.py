@@ -120,7 +120,6 @@ class ElectricEigenpair:
     residual_sup: float
     grid_n: int
     coeffs: np.ndarray = field(repr=False)   # parity-sector coefficients, unit leading term
-    samples: np.ndarray = field(repr=False)
 
 
 def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
@@ -181,12 +180,11 @@ def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
         raise NoConvergence(f"no contraction at k = {k} ({parity} sector)")
 
     coeffs = lead + phi_k + psi
-    u = lead_samples + phi_k_samples + psi_samples
     lam = k * k + atil + lt
     residual = _operator_residual(coeffs, a_samples, lam, parity, n)
     return ElectricEigenpair(k=k, parity=parity, lam=float(lam), lam_shift=float(lt),
                              first_order_shift=sign * a2k / 2.0, iterations=it,
-                             residual_sup=residual, grid_n=n, coeffs=coeffs, samples=u)
+                             residual_sup=residual, grid_n=n, coeffs=coeffs)
 
 
 def _operator_residual(coeffs: np.ndarray, a_samples: np.ndarray, lam: float,
@@ -297,38 +295,3 @@ def half_integer_table(p: AngularPotential, dec: SpectralDecomposition,
         rows=rows,
         slope=loglog_slope(js, np.array([r.residual for r in rows])),
     )
-
-
-def doubled_potential(p: AngularPotential) -> AngularPotential:
-    """The potential 4 a(2 theta) with no magnetic part."""
-    ac_in = p.a_coeffs
-    B = p.a_bandwidth
-    out = np.zeros(4 * B + 1, dtype=complex)
-    for m in range(-B, B + 1):
-        out[2 * B + 2 * m] = 4.0 * ac_in[B + m]
-    return AngularPotential(out, np.zeros(1, dtype=complex))
-
-
-def doubling_check(p: AngularPotential, M: int, count: int) -> float:
-    """Spectral identity for even a: eigenvalues of -d^2 + 4 a(2 theta) equal
-    4 times the union of the periodic and antiperiodic eigenvalues of -d^2 + a.
-
-    Returns the worst absolute deviation over the first `count` eigenvalues,
-    scaled by max(1, eigenvalue).
-    """
-    from .galerkin import compute_spectrum
-
-    even_cosine_coefficients(p)   # validates symmetry assumptions
-    p_half = AngularPotential(p.a_coeffs, np.array([0.5], dtype=complex))
-    p_doubled = doubled_potential(p)
-    per = compute_spectrum(p, M)
-    anti = compute_spectrum(p_half, M)
-    dbl = compute_spectrum(p_doubled, 2 * M)
-    nmax = min(count, per.resolved_count, anti.resolved_count)
-    union = 4.0 * np.sort(np.concatenate([
-        per.eigenvalues[:nmax], anti.eigenvalues[:nmax]]))[:nmax]
-    if dbl.resolved_count < nmax:
-        nmax = dbl.resolved_count
-    direct = np.asarray(dbl.eigenvalues[:nmax])
-    union = union[:nmax]
-    return float(np.max(np.abs(direct - union) / np.maximum(1.0, np.abs(union))))

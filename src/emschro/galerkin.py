@@ -44,15 +44,7 @@ def _convolved_coeffs(p: AngularPotential) -> tuple[np.ndarray, np.ndarray, int]
     A2 = np.convolve(A, A)  # bandwidth doubles
     bw = max(p.a_bandwidth, 2 * p.A_bandwidth)
     modes = np.arange(-bw, bw + 1)
-    V = np.zeros(2 * bw + 1, dtype=complex)
-
-    def _acc(dst_modes, coeffs):
-        m0 = coeffs.size // 2
-        lo = bw - m0
-        dst_modes[lo:lo + coeffs.size] += coeffs
-
-    _acc(V, a)
-    _acc(V, A2)
+    V = _padded(a, bw) + _padded(A2, bw)
     V += modes * _padded(A, bw)  # -i A' contributes m * A_m
     return V, _padded(A, bw), bw
 

@@ -21,20 +21,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import bessel
 from .errors import HypothesisViolation, InsufficientResolution, InvalidInput
 from .galerkin import SpectralDecomposition, loglog_slope, pair_modes
-from .potentials import AngularPotential
+from .potentials import AngularPotential, theta_grid
 
 DEFAULT_TOL = 1e-9
 N_WINDOWS = 8              # geometric sup-scan windows, a quarter decade each
 DIFFERENCE_N_RHO = 120     # gap-scan grid: rho samples on [0, rho_max] ...
 DIFFERENCE_N_THETA = 48    # ... and uniform theta samples
-SOURCE_GALERKIN = "galerkin"
-SOURCE_AB = "closed_form_ab"
 
 
 def i_power(beta: float) -> complex:
@@ -44,14 +43,16 @@ def i_power(beta: float) -> complex:
 
 @dataclass(frozen=True)
 class KernelEigendata:
-    """Angular eigendata packaged for kernel summation, ordered by ascending mu."""
-    source: str
+    """Angular eigendata packaged for kernel summation, ordered by ascending mu.
+
+    `coeffs[:, k]` holds psi_k on modes -M..M of the basis e^{i j theta} /
+    sqrt(2 pi).  `potential` is None for the closed-form constant-circulation
+    modes, whose sup norms are exactly 1 / sqrt(2 pi).
+    """
     mu: np.ndarray = field(repr=False)
     beta: np.ndarray = field(repr=False)
     sup_bounds: np.ndarray = field(repr=False)      # per-mode sup-norm bounds
-    coeffs: np.ndarray | None = field(repr=False)   # basis coefficients (Galerkin)
-    ab_modes: np.ndarray | None = field(repr=False) # mode numbers (closed form)
-    ab_alpha: float | None
+    coeffs: np.ndarray = field(repr=False)          # basis coefficients, one column per mode
     tail_floor: float        # lower-bound parameters for mu beyond the data:
     tail_abar: float         # mu_k >= (ceil((k-1)/2) - |tail_abar|)^2 + tail_floor
     potential: AngularPotential | None = field(repr=False, default=None)
@@ -60,11 +61,16 @@ class KernelEigendata:
     def count(self) -> int:
         return int(self.mu.size)
 
+    @cached_property
+    def potential_sups(self) -> tuple[float, float]:
+        """(max |a|, max |A|) of `potential` on a 2048-point grid, computed once."""
+        th = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        return (float(np.max(np.abs(self.potential.a_values(th)))),
+                float(np.max(np.abs(self.potential.A_values(th)))))
+
     def psi_values(self, theta: np.ndarray) -> np.ndarray:
         """Matrix psi_k(theta), one row per retained mode."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
-        if self.source == SOURCE_AB:
-            return np.exp(1j * np.outer(self.ab_modes, th)) / math.sqrt(2.0 * math.pi)
         M = (self.coeffs.shape[0] - 1) // 2
         modes = np.arange(-M, M + 1)
         basis = np.exp(1j * np.outer(modes, th)) / math.sqrt(2.0 * math.pi)
@@ -87,8 +93,7 @@ def from_spectrum(dec: SpectralDecomposition, count: int | None = None) -> Kerne
     sup = dec.sup_norms()[:n]
     amin = float(np.min(p.a_values(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)).real))
     return KernelEigendata(
-        source=SOURCE_GALERKIN, mu=mu, beta=np.sqrt(mu), sup_bounds=np.asarray(sup),
-        coeffs=dec.coeffs[:, :n], ab_modes=None, ab_alpha=None,
+        mu=mu, beta=np.sqrt(mu), sup_bounds=np.asarray(sup), coeffs=dec.coeffs[:, :n],
         tail_floor=amin, tail_abar=abs(p.reduced_circulation), potential=p,
     )
 
@@ -106,18 +111,18 @@ def ab_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
 def circulation_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
     """Eigenpairs (k + alpha)^2, e^{ik theta}/sqrt(2 pi) for |k| <= n_modes, unchecked.
 
+    Mode k is stored as the one-hot coefficient column of basis mode k.
     alpha = 0 gives the free flow's integer orders beta = |k|; use
     `ab_eigendata` wherever the kernel hypothesis mu_1 > 0 must hold.
     """
     ks = np.arange(-n_modes, n_modes + 1)
     mu = (ks + alpha) ** 2
     order = np.argsort(mu, kind="stable")
-    ks = ks[order]
     mu = mu[order]
     return KernelEigendata(
-        source=SOURCE_AB, mu=mu, beta=np.sqrt(mu),
+        mu=mu, beta=np.sqrt(mu),
         sup_bounds=np.full(ks.size, 1.0 / math.sqrt(2.0 * math.pi)),
-        coeffs=None, ab_modes=ks, ab_alpha=float(alpha),
+        coeffs=np.eye(ks.size, dtype=complex)[:, order],
         tail_floor=0.0, tail_abar=abs(alpha), potential=None,
     )
 
@@ -131,12 +136,9 @@ def _tail_sup_sq(data: KernelEigendata, mu: float) -> float:
     On the circle, |psi|_inf^2 <= |psi|_2^2 / 2pi + 2 |psi|_2 |psi'|_2 and the
     eigenvalue equation bounds |psi'|_2 by sqrt(mu) plus potential norms.
     """
-    if data.source == SOURCE_AB:
+    if data.potential is None:
         return 1.0 / (2.0 * math.pi)
-    p = data.potential
-    th = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-    ca = float(np.max(np.abs(p.a_values(th))))
-    cA = float(np.max(np.abs(p.A_values(th))))
+    ca, cA = data.potential_sups
     grad = cA + math.sqrt(cA * cA + max(mu, 0.0) + ca + cA * cA)
     return 1.0 / (2.0 * math.pi) + 2.0 * grad
 
@@ -265,7 +267,7 @@ def sup_scan(data: KernelEigendata, rho_max: float = 50.0, n_rho: int = 200,
     is the relative growth of the running max over the top two rho decades.
     """
     rho = np.linspace(0.0, rho_max, n_rho)
-    th = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    th = theta_grid(n_theta)
     K = evaluate_grid(data, rho, th, th, tol)
     # K comes out in Fortran order; a C-ordered |K| keeps the reshape a view
     A = np.abs(K, order="C").reshape(n_rho, -1)
@@ -352,7 +354,7 @@ def difference_scan(dec: SpectralDecomposition, p: AngularPotential,
         raise InsufficientResolution("increase Galerkin size: tail modes unresolved")
 
     rho = np.linspace(0.0, rho_max, DIFFERENCE_N_RHO)
-    th = 2.0 * np.pi * np.arange(DIFFERENCE_N_THETA) / DIFFERENCE_N_THETA
+    th = theta_grid(DIFFERENCE_N_THETA)
     chi = _gauge_stripped_psi(data, th)          # (count, n_theta)
     k = np.array([pr.k for pr in pairs])
     j = np.array([pr.j for pr in pairs])

@@ -199,48 +199,13 @@ def require_non_resonant(p: AngularPotential, tol: float = RESONANCE_TOL) -> flo
     return p.reduced_circulation
 
 
-def gauge_transform(p: AngularPotential, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Map phi(theta) to e^{-i Abar theta} e^{i int_0^theta A} phi(theta).
+def inverse_gauge_transform(p: AngularPotential, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Map phi(theta) to e^{i Abar theta} e^{-i int_0^theta A} phi(theta).
 
-    Sends eigenfunctions of the full angular operator for (a, A) to
-    eigenfunctions of the constant-circulation operator for (a, Abar); it is a
+    Sends eigenfunctions of the constant-circulation operator for (a, Abar)
+    back to eigenfunctions of the full angular operator for (a, A); it is a
     pointwise phase, hence an isometry in every L^p.
     """
     th = np.asarray(theta, dtype=float)
-    phase = -p.reduced_circulation * th + p.integral_A(th)
-    return np.exp(1j * phase) * np.asarray(phi, dtype=complex)
-
-
-def inverse_gauge_transform(p: AngularPotential, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`gauge_transform`."""
-    th = np.asarray(theta, dtype=float)
     phase = p.reduced_circulation * th - p.integral_A(th)
     return np.exp(1j * phase) * np.asarray(phi, dtype=complex)
-
-
-@dataclass(frozen=True)
-class HypothesesReport:
-    mu1: float
-    mu1_positive: bool
-    hardy_threshold: float  # -((N-2)/2)^2 = 0 in two dimensions
-    above_hardy: bool
-    circulation: float
-    reduced_circulation: float
-    resonance: ResonanceClass
-
-
-def check_hypotheses(p: AngularPotential, M: int = 48) -> HypothesesReport:
-    """Report the positivity data that the dispersive estimate needs."""
-    from . import galerkin  # local import; galerkin depends on this module
-
-    dec = galerkin.compute_spectrum(p, M)
-    mu1 = float(dec.eigenvalues[0])
-    return HypothesesReport(
-        mu1=mu1,
-        mu1_positive=mu1 > 0.0,
-        hardy_threshold=0.0,
-        above_hardy=mu1 > 0.0,
-        circulation=p.circulation,
-        reduced_circulation=p.reduced_circulation,
-        resonance=classify_resonance(p),
-    )

@@ -39,7 +39,7 @@ from scipy.linalg import solve_banded
 from . import bessel, kernel
 from .errors import InsufficientResolution, InvalidInput, ResolutionError
 from .kernel import KernelEigendata
-from .potentials import AngularPotential, theta_grid
+from .potentials import theta_grid
 
 MODE_KEEP_RTOL = 1e-12
 SUPPORT_RTOL = 1e-15         # source samples below this fraction of a row's peak are skipped
@@ -225,13 +225,11 @@ def _flip_eigendata(data: KernelEigendata) -> KernelEigendata:
     """Eigendata of the magnetically reversed operator, by exact conjugation.
 
     For real a and A, L(-A) conj(psi) = conj(L(A) psi), so the pairs are
-    (mu_k, conj psi_k): coefficients conj(coeffs[::-1]), or negated modes and alpha.
+    (mu_k, conj psi_k): coefficients conj(coeffs[::-1]).  `potential` is kept
+    as it is: the flow never reads it, and all the tail bounds take from it
+    (min a, max |a|, max |A|, |reduced circulation|) is the same for -A.
     """
-    if data.source == kernel.SOURCE_AB:
-        return replace(data, ab_modes=-data.ab_modes, ab_alpha=-data.ab_alpha)
-    p = data.potential
-    return replace(data, coeffs=np.conj(data.coeffs[::-1]),
-                   potential=AngularPotential(p.a_coeffs, -p.A_coeffs))
+    return replace(data, coeffs=np.conj(data.coeffs[::-1]))
 
 
 class _Source:

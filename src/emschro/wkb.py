@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import InvalidInput, NoConvergence, ResonantParameter
 from .galerkin import SpectralDecomposition, loglog_slope, pair_modes
-from .potentials import AngularPotential, default_grid_size, theta_grid
+from .potentials import (AngularPotential, default_grid_size, inverse_gauge_transform,
+                         theta_grid)
 
 DEFAULT_DELTA = 0.05
 FP_TOL = 1e-13
@@ -53,7 +54,6 @@ class WkbSolution:
     mean_W: complex
     residual_sup: float
     iterations: int
-    delta: float
 
 
 def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA) -> WkbSolution:
@@ -97,7 +97,7 @@ def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA) -
     residual = _ode_residual(p, W_coeffs, s, atil)
     return WkbSolution(lam=float(lam), s=s, a_mean=atil, grid_n=n, W=W,
                        W_coeffs=W_coeffs, mean_W=complex(W_coeffs[0]),
-                       residual_sup=residual, iterations=it, delta=delta)
+                       residual_sup=residual, iterations=it)
 
 
 def _ode_residual(p: AngularPotential, W_coeffs: np.ndarray, s: float, atil: float) -> float:
@@ -141,7 +141,6 @@ class AsymptoticEigenpair:
     mean_W: complex
     fp_residual: float
     grid_n: int
-    phi: np.ndarray = field(repr=False)          # eigenfunction samples, original gauge
     phi_coeffs: np.ndarray = field(repr=False)   # orthonormal-basis coefficients
     outer_iterations: int = 0
 
@@ -178,20 +177,17 @@ def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
         phi_reduced = np.exp(-1j * ab * th) * np.exp(-1j * np.conj(S))
         signed_j = -k
     # back to the original gauge, then normalize and phase-fix
-    phase = ab * th - p.integral_A(th)
-    phi = np.exp(1j * phase) * phi_reduced
+    phi = inverse_gauge_transform(p, phi_reduced, th)
     nrm = math.sqrt(float(np.mean(np.abs(phi) ** 2)) * 2.0 * math.pi)
     phi = phi / nrm
     coeffs = np.fft.fft(phi) / phi.size * math.sqrt(2.0 * math.pi)
     i = int(np.argmax(np.abs(coeffs)))
-    rot = np.conj(coeffs[i]) / abs(coeffs[i])
-    phi = phi * rot
-    coeffs = coeffs * rot
+    coeffs = coeffs * (np.conj(coeffs[i]) / abs(coeffs[i]))
     return AsymptoticEigenpair(
         j=signed_j, branch=branch, lam=float(atil + s * s), s=float(s),
         predicted_lambda=float(atil + (signed_j + ab) ** 2),
         mean_W=sol.mean_W, fp_residual=sol.residual_sup, grid_n=sol.grid_n,
-        phi=phi, phi_coeffs=coeffs, outer_iterations=outer,
+        phi_coeffs=coeffs, outer_iterations=outer,
     )
 
 

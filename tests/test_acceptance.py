@@ -13,8 +13,6 @@ from emschro import acceptance
 
 pytestmark = pytest.mark.acceptance
 
-_SLOW = {7, 8, 9}
-
 
 def _run(number: int) -> None:
     res = acceptance.run_criterion(number)

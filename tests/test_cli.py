@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import emschro
 from emschro import acceptance, cli, galerkin, kernel
 from emschro.potentials import build_potential
 
@@ -108,6 +109,37 @@ def test_wkb_without_certified_eigenvalues_is_a_resolution_failure(ab_config, mo
 
     monkeypatch.setattr(galerkin, "compute_spectrum", uncertified)
     assert cli.main(["wkb", ab_config]) == cli.EXIT_RESOLUTION
+
+
+def test_wkb_refuses_a_resonant_circulation_before_any_solve(tmp_path, monkeypatch, capsys):
+    solved = []
+    monkeypatch.setattr(galerkin, "compute_spectrum", lambda *a, **kw: solved.append(a))
+    cfg = write_config(tmp_path, "half.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.5, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+    })
+    assert cli.main(["wkb", cfg]) == cli.EXIT_CONFIG
+    assert solved == []
+    assert "resonant set (half_integer_circulation)" in capsys.readouterr().err
+
+
+def test_decay_snapshots_load_back_as_the_evolved_fields(tmp_path):
+    cfg = write_config(tmp_path, "snap.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "decay": {"n_r": 1024, "t_list": [1.0, 10.0, 100.0, 1000.0], "snapshots": True},
+    })
+    assert cli.main(["decay", cfg]) == cli.EXIT_PASS
+    back = emschro.load_field(str(tmp_path / "out" / "field_001.bin"))
+    data = kernel.from_spectrum(galerkin.compute_spectrum(
+        build_potential(a_coeffs=[0.0], A_coeffs=[0.3]), 48))
+    res = emschro.evolve_result(data, emschro.gaussian_ring(5.0, 1.0, 1024, 12.0), 10.0)
+    assert back.t == 10.0
+    assert np.array_equal(back.r, res.field.r)
+    assert np.array_equal(back.values, res.field.values)
+    with open(tmp_path / "out" / "decay.csv") as fh:
+        row = list(csv.DictReader(fh))[1]
+    assert float(row["sup_norm"]) == back.sup_norm()
 
 
 def test_exit_code_hypothesis_violation(tmp_path):

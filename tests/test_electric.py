@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from emschro.electric import (
-    doubling_check,
     even_cosine_coefficients,
     half_integer_table,
     solve_pair,
@@ -12,10 +11,43 @@ from emschro.electric import (
 )
 from emschro.errors import InvalidInput, SymmetryViolation
 from emschro.galerkin import compute_spectrum
-from emschro.potentials import build_potential
+from emschro.potentials import AngularPotential, build_potential
 
 # characteristic-value gap of -u'' + 2cos(2x)u at the first pair, 30-digit reference
 MATHIEU_FIRST_GAP = 1.9693568895064586
+
+
+def doubled_potential(p: AngularPotential) -> AngularPotential:
+    """The potential 4 a(2 theta) with no magnetic part."""
+    ac_in = p.a_coeffs
+    B = p.a_bandwidth
+    out = np.zeros(4 * B + 1, dtype=complex)
+    for m in range(-B, B + 1):
+        out[2 * B + 2 * m] = 4.0 * ac_in[B + m]
+    return AngularPotential(out, np.zeros(1, dtype=complex))
+
+
+def doubling_check(p: AngularPotential, M: int, count: int) -> float:
+    """Spectral identity for even a: eigenvalues of -d^2 + 4 a(2 theta) equal
+    4 times the union of the periodic and antiperiodic eigenvalues of -d^2 + a.
+
+    Returns the worst absolute deviation over the first `count` eigenvalues,
+    scaled by max(1, eigenvalue).
+    """
+    even_cosine_coefficients(p)   # validates symmetry assumptions
+    p_half = AngularPotential(p.a_coeffs, np.array([0.5], dtype=complex))
+    p_doubled = doubled_potential(p)
+    per = compute_spectrum(p, M)
+    anti = compute_spectrum(p_half, M)
+    dbl = compute_spectrum(p_doubled, 2 * M)
+    nmax = min(count, per.resolved_count, anti.resolved_count)
+    union = 4.0 * np.sort(np.concatenate([
+        per.eigenvalues[:nmax], anti.eigenvalues[:nmax]]))[:nmax]
+    if dbl.resolved_count < nmax:
+        nmax = dbl.resolved_count
+    direct = np.asarray(dbl.eigenvalues[:nmax])
+    union = union[:nmax]
+    return float(np.max(np.abs(direct - union) / np.maximum(1.0, np.abs(union))))
 
 
 @pytest.fixture(scope="module")

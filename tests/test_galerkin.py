@@ -46,6 +46,12 @@ def test_ground_state_frozen_value(dec_cos64):
     assert dec_cos64.eigenvalues[0] == pytest.approx(-0.35890355745735536, abs=1e-9)
 
 
+def test_positive_well_ground_state_frozen_value():
+    # a = 1 + cos(theta), A = 0.3 lifts it above zero, as the kernel needs
+    dec = compute_spectrum(build_potential(a_coeffs=[0.5, 1.0, 0.5], A_coeffs=[0.3]), 48)
+    assert dec.eigenvalues[0] == pytest.approx(0.641096, abs=1e-5)
+
+
 @pytest.mark.parametrize("name, M, b", [("p_mixed", 1, 2), ("p_mixed", 16, 2),
                                         ("p_cos", 7, 1), ("p_even_electric", 2, 2),
                                         ("p_ab", 5, 0)])

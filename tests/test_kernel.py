@@ -121,11 +121,13 @@ def test_evaluate_grid_matches_pointwise():
     assert grid.shape == (3, 3, 2)
     # every retained mode summed directly, with scipy's J and e^{ik(t - t')} / 2 pi
     weights = np.array([i_power(b) for b in data.beta])
+    ks = np.arange(-80, 81)
+    ks = ks[np.argsort((ks + 0.3) ** 2, kind="stable")]
     for i, r in enumerate(rho):
         for j, t in enumerate(th):
             for l, tp in enumerate(thp):
                 ref = np.sum(weights * jv(data.beta, r)
-                             * np.exp(1j * data.ab_modes * (t - tp))) / (2.0 * np.pi)
+                             * np.exp(1j * ks * (t - tp))) / (2.0 * np.pi)
                 assert grid[i, j, l] == pytest.approx(ref, abs=1e-8)
 
 
@@ -143,6 +145,8 @@ def test_sup_scan_report_structure():
     assert np.all(np.diff(rep.running_maxima) >= 0)
     assert len(rep.window_maxima) == len(rep.window_edges) - 1
     assert rep.max_abs == pytest.approx(rep.running_maxima[-1])
+    with pytest.raises(InvalidInput):   # the angles come from theta_grid
+        sup_scan(data, rho_max=10.0, n_rho=50, n_theta=3)
 
 
 def test_sup_scan_flux_line_frozen():
