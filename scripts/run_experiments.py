@@ -28,6 +28,7 @@ BATCH = [
     ("spectrum", "half_circulation.json"),
     ("kernel-scan", "positive_well_scan.json"),
     ("kernel-scan", "flux_gap_scan.json"),
+    ("decay", "decay_sweep.json"),
 ]
 
 

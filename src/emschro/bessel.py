@@ -35,6 +35,7 @@ ASYMPTOTIC_PAIRS = 8            # K: term pairs of P and Q in Hankel's expansion
 # Q exceeds 55 for any order the expansion serves, so rounding stays a few ulps.
 ASYMPTOTIC_SWITCH_FLOOR = 20.0
 ASYMPTOTIC_BLOCK = 16384        # values per block of the expansion (bounds temporaries)
+LANDAU_N_R = 2000               # radii per order in the uniform-order bound scan
 
 
 def _check_order(nu) -> float:
@@ -184,17 +185,14 @@ def term_tail_bound(nu: float, rho: float) -> float:
 @dataclass(frozen=True)
 class LandauReport:
     constant: float
-    argmax_order: float
-    argmax_r: float
-    nu_max: int
     finite: bool
 
 
-def landau_bound_check(nu_max: int = 500, n_r: int = 2000) -> LandauReport:
+def landau_bound_check(nu_max: int = 500) -> LandauReport:
     """Measure sup over nu in {1..nu_max}, r in [0, nu_max + 20], of |J_nu(r)| nu^{1/3}."""
     if nu_max < 1:
         raise InvalidInput("nu_max must be >= 1")
-    rg = np.linspace(0.0, float(nu_max) + 20.0, n_r)
+    rg = np.linspace(0.0, float(nu_max) + 20.0, LANDAU_N_R)
     best = -1.0
     arg = (1.0, 0.0)
     for nu in range(1, nu_max + 1):
@@ -207,9 +205,5 @@ def landau_bound_check(nu_max: int = 500, n_r: int = 2000) -> LandauReport:
     nu0, r0 = arg
     dr = rg[1] - rg[0]
     fine = np.linspace(max(0.0, r0 - 2 * dr), r0 + 2 * dr, 101)
-    vals = np.abs(j_grid(nu0, fine)) * nu0 ** (1.0 / 3.0)
-    i = int(np.argmax(vals))
-    if vals[i] > best:
-        best = float(vals[i])
-        arg = (nu0, float(fine[i]))
-    return LandauReport(best, arg[0], arg[1], nu_max, bool(np.isfinite(best)))
+    best = max(best, float(np.max(np.abs(j_grid(nu0, fine)) * nu0 ** (1.0 / 3.0))))
+    return LandauReport(best, bool(np.isfinite(best)))

@@ -301,7 +301,7 @@ def cmd_decay(cfg: ExperimentConfig, out_dir: str | None) -> int:
 # -- validate ----------------------------------------------------------------------
 
 
-def cmd_validate(_cfg=None, _out_dir=None) -> int:
+def cmd_validate() -> int:
     from .acceptance import run_all
 
     results = run_all()

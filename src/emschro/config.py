@@ -7,9 +7,11 @@ of real samples on a uniform theta grid (then `n_modes` is required), and the
 same for the magnetic field.  Exactly one of coeffs/samples per field.
 Command sections (`spectrum`, `wkb`, `kernel_scan`, `decay`) hold only the
 keys listed in their schemas; unknown keys are rejected so typos cannot
-silently fall back to defaults.  Values are type-checked too: sizes are
-positive integers, flags are booleans and list keys are nonempty lists of the
-kind their command reads.
+silently fall back to defaults.  Each key is declared once, with its default
+and its kind, and every value is checked against its kind before any work:
+sizes are positive integers, angular grids have at least 4 points, flags are
+booleans, list keys are nonempty lists of what their command reads.  Potential
+entries must be finite numbers.
 """
 
 from __future__ import annotations
@@ -27,33 +29,6 @@ from .potentials import AngularPotential, build_potential
 
 _POTENTIAL_KEYS = {"a_coeffs", "a_samples", "A_coeffs", "A_samples", "n_modes"}
 
-_SECTION_SCHEMAS = {
-    "spectrum": {
-        "M": 64, "j_min": 8, "j_max": 24, "grid_n": 2048,
-        "cluster_k_min": 10, "cluster_k_max": 40,
-        "k_values": None, "j_values": None,
-    },
-    "wkb": {
-        "M": 64, "j_list": [8, 12, 16, 20, 24, -8, -12, -16], "delta": 0.05,
-    },
-    "kernel_scan": {
-        "M": 160, "count": None, "rho_max": 50.0, "n_rho": 200, "n_theta": 64,
-        "tol": 1e-9, "difference": False, "ells": [4, 8, 16], "full_grid": False,
-    },
-    "decay": {
-        "M": 48, "count": None,
-        "r0": 5.0, "w": 1.0, "r_max": 12.0, "n_r": 4096, "n_theta": 64,
-        "angular_mode": 0, "t_list": [0.1, 1.0, 10.0, 100.0],
-        "oracle": False, "oracle_t": 0.5, "snapshots": False,
-    },
-}
-
-_TOLERANCE_KEYS = {"tol", "delta", "w", "rho_max", "r_max", "oracle_t"}
-_POSITIVE_INT_KEYS = {"M", "grid_n", "n_rho", "n_theta", "n_r", "count",
-                      "cluster_k_min", "cluster_k_max", "j_min", "j_max"}
-_BOOL_KEYS = {"difference", "full_grid", "oracle", "snapshots"}
-_INT_KEYS = {"angular_mode"}
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -64,11 +39,54 @@ def _is_number(v) -> bool:
             and math.isfinite(v))
 
 
-# list keys: nonempty lists whose every entry passes the check
-_POSITIVE_INTS = (lambda v: _is_int(v) and v > 0, "positive integers")
-_LIST_KEYS = {"ells": _POSITIVE_INTS, "k_values": _POSITIVE_INTS, "j_values": _POSITIVE_INTS,
-              "j_list": (lambda v: _is_int(v) and v != 0, "nonzero integers"),
-              "t_list": (_is_number, "finite numbers")}
+# value kinds: (check, what the check asks for)
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive number")
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE_INT = (lambda v: _is_int(v) and v > 0, "a positive integer")
+_INT = (_is_int, "an integer")
+_ANGULAR_GRID = (lambda v: _is_int(v) and v >= 4, "an integer >= 4")   # theta_grid's least
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+
+
+def _list_of(check, kind: str):
+    return (lambda v: isinstance(v, list) and bool(v) and all(map(check, v)),
+            f"a nonempty list of {kind}")
+
+
+_POSITIVE_INTS = _list_of(_POSITIVE_INT[0], "positive integers")
+_FINITE_NUMBERS = _list_of(_is_number, "finite numbers")
+
+# key: (default, kind); a None default means the command works it out
+_SECTION_SCHEMAS = {
+    "spectrum": {
+        "M": (64, _POSITIVE_INT), "j_min": (8, _POSITIVE_INT),
+        "j_max": (24, _POSITIVE_INT), "grid_n": (2048, _POSITIVE_INT),
+        "cluster_k_min": (10, _POSITIVE_INT), "cluster_k_max": (40, _POSITIVE_INT),
+        "k_values": (None, _POSITIVE_INTS), "j_values": (None, _POSITIVE_INTS),
+    },
+    "wkb": {
+        "M": (64, _POSITIVE_INT),
+        "j_list": ([8, 12, 16, 20, 24, -8, -12, -16],
+                   _list_of(lambda v: _is_int(v) and v != 0, "nonzero integers")),
+        "delta": (0.05, _POSITIVE),
+    },
+    "kernel_scan": {
+        "M": (160, _POSITIVE_INT), "count": (None, _POSITIVE_INT),
+        "rho_max": (50.0, _POSITIVE), "n_rho": (200, _POSITIVE_INT),
+        "n_theta": (64, _ANGULAR_GRID), "tol": (1e-9, _POSITIVE),
+        "difference": (False, _BOOL), "ells": ([4, 8, 16], _POSITIVE_INTS),
+        "full_grid": (False, _BOOL),
+    },
+    "decay": {
+        "M": (48, _POSITIVE_INT), "count": (None, _POSITIVE_INT),
+        "r0": (5.0, _NUMBER), "w": (1.0, _POSITIVE), "r_max": (12.0, _POSITIVE),
+        "n_r": (4096, _POSITIVE_INT), "n_theta": (64, _ANGULAR_GRID),
+        "angular_mode": (0, _INT),
+        "t_list": ([0.1, 1.0, 10.0, 100.0], _FINITE_NUMBERS),
+        "oracle": (False, _BOOL), "oracle_t": (0.5, _POSITIVE),
+        "snapshots": (False, _BOOL),
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -82,39 +100,33 @@ class ExperimentConfig:
 
 
 def _check_section(name: str, given: dict) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(f"section {name!r} must be a JSON object")
     schema = _SECTION_SCHEMAS[name]
     unknown = set(given) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
-    merged = dict(schema)
+    merged = {key: default for key, (default, _kind) in schema.items()}
     merged.update(given)
     for key, val in merged.items():
-        if val is None:
-            continue
-        if key in _TOLERANCE_KEYS and not (_is_number(val) and val > 0):
-            raise ConfigError(f"{name}.{key} must be a positive number, got {val!r}")
-        if key in _POSITIVE_INT_KEYS and not (_is_int(val) and val > 0):
-            raise ConfigError(f"{name}.{key} must be a positive integer, got {val!r}")
-        if key in _INT_KEYS and not _is_int(val):
-            raise ConfigError(f"{name}.{key} must be an integer, got {val!r}")
-        if key in _BOOL_KEYS and not isinstance(val, bool):
-            raise ConfigError(f"{name}.{key} must be true or false, got {val!r}")
-        if key in _LIST_KEYS:
-            ok, kind = _LIST_KEYS[key]
-            if not (isinstance(val, list) and val and all(map(ok, val))):
-                raise ConfigError(f"{name}.{key} must be a nonempty list of {kind}, "
-                                  f"got {val!r}")
+        default, (ok, kind) = schema[key]
+        if (val is not None or default is not None) and not ok(val):
+            raise ConfigError(f"{name}.{key} must be {kind}, got {val!r}")
     return merged
 
 
 def _coeffs_from_json(pairs, label: str) -> np.ndarray:
+    if not (isinstance(pairs, list) and len(pairs) % 2 == 1
+            and all(_FINITE_NUMBERS[0](c) and len(c) == 2 for c in pairs)):
+        raise ConfigError(f"{label} must be an odd-length list of [re, im] pairs "
+                          f"of finite numbers")
     arr = np.asarray(pairs, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] % 2 != 1:
-        raise ConfigError(f"{label} must be an odd-length list of [re, im] pairs")
     return arr[:, 0] + 1j * arr[:, 1]
 
 
 def _build_from_section(sec: dict) -> AngularPotential:
+    if not isinstance(sec, dict):
+        raise ConfigError("section 'potential' must be a JSON object")
     unknown = set(sec) - _POTENTIAL_KEYS
     if unknown:
         raise ConfigError(f"unknown keys in potential section: {sorted(unknown)}")
@@ -130,11 +142,13 @@ def _build_from_section(sec: dict) -> AngularPotential:
             kwargs[f"{fieldname}_coeffs"] = _coeffs_from_json(
                 sec[f"{fieldname}_coeffs"], f"{fieldname}_coeffs")
         else:
-            kwargs[f"{fieldname}_samples"] = np.asarray(sec[f"{fieldname}_samples"],
-                                                        dtype=float)
+            samples = sec[f"{fieldname}_samples"]
+            if not _FINITE_NUMBERS[0](samples):
+                raise ConfigError(f"{fieldname}_samples must be {_FINITE_NUMBERS[1]}")
+            kwargs[f"{fieldname}_samples"] = np.asarray(samples, dtype=float)
     if "a_samples" in kwargs or "A_samples" in kwargs:
         n_modes = sec.get("n_modes")
-        if not isinstance(n_modes, int) or n_modes < 0:
+        if not _is_int(n_modes) or n_modes < 0:
             raise ConfigError("potential with samples requires integer n_modes >= 0")
         kwargs["n_modes"] = n_modes
     elif "n_modes" in sec:

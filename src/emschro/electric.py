@@ -14,18 +14,18 @@ the unperturbed mode.  Leading order: lt = -ac[2k]/2 on the sine branch,
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence, SymmetryViolation
 from .galerkin import SpectralDecomposition, loglog_slope
-from .potentials import AngularPotential, theta_grid
+from .potentials import AngularPotential, power_of_two_at_least, theta_grid
 
 SYMMETRY_TOL = 1e-10
 PAIR_TOL = 1e-12       # Picard updates stop once shift and correction move less
 PAIR_MAX_ITER = 200
+PAIR_RESIDUAL_RTOL = 1e-9   # operator residual a table accepts, relative to max(1, lam)
 
 
 def even_cosine_coefficients(p: AngularPotential) -> np.ndarray:
@@ -57,73 +57,49 @@ def _ac_at(ac: np.ndarray, m: int) -> float:
     return float(ac[m]) if m < ac.size else 0.0
 
 
-def explicit_sine_corrector(ac: np.ndarray, k: int, J: int) -> np.ndarray:
-    """Sine coefficients of the first-order correction to sin(kx)."""
+def explicit_corrector(ac: np.ndarray, k: int, J: int, sign: float) -> np.ndarray:
+    """Sector coefficients of the first-order correction to sin(kx) (sign -1) or cos(kx) (+1).
+
+    Entry j >= 1 is -(ac[|j-k|] + sign ac[j+k]) / (2 (j-k)(j+k)); the cosine
+    sector adds the constant term ac[k] / 2k^2.
+    """
     out = np.zeros(J + 1)
+    if sign > 0:
+        out[0] = _ac_at(ac, k) / (2.0 * k * k)
     for j in range(1, J + 1):
         if j == k:
             continue
-        out[j] = (_ac_at(ac, j + k) - _ac_at(ac, j - k)) / (2.0 * (j - k) * (j + k))
+        out[j] = -(_ac_at(ac, j - k) + sign * _ac_at(ac, j + k)) / (2.0 * (j - k) * (j + k))
     return out
 
 
-def explicit_cosine_corrector(ac: np.ndarray, k: int, J: int) -> np.ndarray:
-    """Cosine coefficients of the first-order correction to cos(kx)."""
-    out = np.zeros(J + 1)
-    out[0] = _ac_at(ac, k) / (2.0 * k * k)
-    for j in range(1, J + 1):
-        if j == k:
-            continue
-        out[j] = -(_ac_at(ac, j - k) + _ac_at(ac, j + k)) / (2.0 * (j - k) * (j + k))
-    return out
+# -- real-grid transforms restricted to one parity sector (sign -1 sine, +1 cosine) --
 
 
-# -- real-grid transforms restricted to one parity sector -----------------------
-
-
-def _sine_samples(s: np.ndarray, n: int) -> np.ndarray:
+def _samples(c: np.ndarray, n: int, sign: float) -> np.ndarray:
     spec = np.zeros(n // 2 + 1, dtype=complex)
-    spec[1:s.size] = -0.5j * n * s[1:]
+    spec[0] = n * c[0]     # zero in the sine sector
+    spec[1:c.size] = (0.5 if sign > 0 else -0.5j) * n * c[1:]
     return np.fft.irfft(spec, n)
 
 
-def _cosine_samples(c: np.ndarray, n: int) -> np.ndarray:
-    spec = np.zeros(n // 2 + 1, dtype=complex)
-    spec[0] = n * c[0]
-    spec[1:c.size] = 0.5 * n * c[1:]
-    return np.fft.irfft(spec, n)
-
-
-def _sine_coeffs(samples: np.ndarray, J: int) -> np.ndarray:
-    spec = np.fft.rfft(samples)
-    out = np.zeros(J + 1)
-    out[1:] = -2.0 * spec[1:J + 1].imag / samples.size
-    return out
-
-
-def _cosine_coeffs(samples: np.ndarray, J: int) -> np.ndarray:
-    spec = np.fft.rfft(samples)
-    out = np.zeros(J + 1)
-    out[0] = spec[0].real / samples.size
-    out[1:] = 2.0 * spec[1:J + 1].real / samples.size
+def _coeffs(samples: np.ndarray, J: int, sign: float) -> np.ndarray:
+    """Sector coefficients 0..J; entry 0 is meaningful in the cosine sector only."""
+    spec = np.fft.rfft(samples)[:J + 1]
+    part = spec.real if sign > 0 else -spec.imag
+    out = 2.0 * part / samples.size
+    out[0] = part[0] / samples.size
     return out
 
 
 @dataclass(frozen=True)
 class ElectricEigenpair:
-    k: int
-    parity: str                  # "sine" or "cosine"
     lam: float
-    lam_shift: float             # lam - k^2 - mean(a)
-    first_order_shift: float     # -+ ac[2k] / 2
-    iterations: int
-    residual_sup: float
-    grid_n: int
-    coeffs: np.ndarray = field(repr=False)   # parity-sector coefficients, unit leading term
+    residual_sup: float      # sup |-u'' + a u - lam u| / sup |u| of the eigenfunction u
 
 
 def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
-    """Eigenpair near k^2 + mean(a) in the chosen parity sector."""
+    """Eigenvalue near k^2 + mean(a) in the chosen parity sector, with its residual."""
     if parity not in ("sine", "cosine"):
         raise InvalidInput("parity must be 'sine' or 'cosine'")
     k = int(k)
@@ -132,39 +108,31 @@ def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
     ac = even_cosine_coefficients(p)
     band = p.a_bandwidth
     J = k + 20 * max(band, 1) + 40
-    n = 1
-    while n < max(256, 4 * (J + band + 1)):
-        n *= 2
+    n = power_of_two_at_least(max(256, 4 * (J + band + 1)))
     x = theta_grid(n)
     a_samples = p.a_values(x).real
     atil = ac[0]
-    a2k = _ac_at(ac, 2 * k)
     sign = -1.0 if parity == "sine" else 1.0
-    to_samples = _sine_samples if parity == "sine" else _cosine_samples
-    to_coeffs = _sine_coeffs if parity == "sine" else _cosine_coeffs
+    first = sign * _ac_at(ac, 2 * k) / 2.0
 
     lead = np.zeros(J + 1)
     lead[k] = 1.0
-    lead_samples = to_samples(lead, n)
-    if parity == "sine":
-        phi_k = explicit_sine_corrector(ac, k, J)
-    else:
-        phi_k = explicit_cosine_corrector(ac, k, J)
-    phi_k_samples = to_samples(phi_k, n)
+    lead_samples = _samples(lead, n, sign)
+    phi_k = explicit_corrector(ac, k, J, sign)
+    phi_k_samples = _samples(phi_k, n, sign)
 
-    lt = sign * a2k / 2.0
+    lt = first
     psi = np.zeros(J + 1)
     psi_samples = np.zeros(n)
-    it = 0
-    for it in range(1, PAIR_MAX_ITER + 1):
+    for _ in range(PAIR_MAX_ITER):
         corr = phi_k_samples + psi_samples
         # solvability: project the perturbation of the corrected mode back on the lead
-        lt_new = sign * a2k / 2.0 + float(np.mean(a_samples * corr * lead_samples) * 2.0)
+        lt_new = first + float(np.mean(a_samples * corr * lead_samples) * 2.0)
         # residual forcing in the complement, leading-term coefficient nearly cancels
-        F = (lt_new - sign * a2k / 2.0) * lead_samples + (lt_new + atil - a_samples) * corr
-        Fc = to_coeffs(F, J)
+        F = (lt_new - first) * lead_samples + (lt_new + atil - a_samples) * corr
+        Fc = _coeffs(F, J, sign)
         psi_new = np.zeros(J + 1)
-        for j in range(0 if parity == "cosine" else 1, J + 1):
+        for j in range(0 if sign > 0 else 1, J + 1):
             if j == k:
                 continue
             if j == 0:
@@ -173,28 +141,23 @@ def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
                 psi_new[j] = Fc[j] / ((j - k) * (j + k))
         change = max(abs(lt_new - lt), float(np.max(np.abs(psi_new - psi))))
         lt, psi = lt_new, psi_new
-        psi_samples = to_samples(psi, n)
+        psi_samples = _samples(psi, n, sign)
         if change <= PAIR_TOL:
             break
     else:
         raise NoConvergence(f"no contraction at k = {k} ({parity} sector)")
 
-    coeffs = lead + phi_k + psi
     lam = k * k + atil + lt
-    residual = _operator_residual(coeffs, a_samples, lam, parity, n)
-    return ElectricEigenpair(k=k, parity=parity, lam=float(lam), lam_shift=float(lt),
-                             first_order_shift=sign * a2k / 2.0, iterations=it,
-                             residual_sup=residual, grid_n=n, coeffs=coeffs)
+    return ElectricEigenpair(lam=float(lam), residual_sup=_operator_residual(
+        lead + phi_k + psi, a_samples, lam, sign, n))
 
 
 def _operator_residual(coeffs: np.ndarray, a_samples: np.ndarray, lam: float,
-                       parity: str, n: int) -> float:
+                       sign: float, n: int) -> float:
     """Sup norm of -u'' + a u - lam u, relative to sup |u|."""
-    J = coeffs.size - 1
-    j = np.arange(J + 1)
-    to_samples = _sine_samples if parity == "sine" else _cosine_samples
-    u = to_samples(coeffs, n)
-    upp = to_samples(-(j ** 2) * coeffs, n)
+    j = np.arange(coeffs.size)
+    u = _samples(coeffs, n, sign)
+    upp = _samples(-(j ** 2) * coeffs, n, sign)
     res = -upp + a_samples * u - lam * u
     return float(np.max(np.abs(res)) / np.max(np.abs(u)))
 
@@ -207,9 +170,7 @@ class SplittingRow:
     k: int
     lam_sine: float
     lam_cosine: float
-    mu_sine: float
-    mu_cosine: float
-    splitting: float           # mu_cosine - mu_sine
+    splitting: float           # cosine minus sine reference eigenvalue
     predicted_splitting: float
     splitting_error: float
     scaled_splitting_error: float    # k * |splitting - predicted|
@@ -230,12 +191,20 @@ def _nearest(values: np.ndarray, x: float) -> float:
 
 def splitting_table(p: AngularPotential, dec: SpectralDecomposition,
                     k_values) -> SplittingTable:
-    """Sector gaps and fixed-point eigenvalues against reference eigenvalues."""
+    """Sector gaps and fixed-point eigenvalues against reference eigenvalues.
+
+    Refuses (NoConvergence) a fixed-point eigenvalue whose eigenfunction
+    misses the operator by more than PAIR_RESIDUAL_RTOL max(1, lam).
+    """
     mus = np.asarray(dec.eigenvalues, dtype=float)
     rows = []
     for k in k_values:
         es = solve_pair(p, k, "sine")
         ec = solve_pair(p, k, "cosine")
+        for pair in (es, ec):
+            if not pair.residual_sup <= PAIR_RESIDUAL_RTOL * max(1.0, abs(pair.lam)):
+                raise NoConvergence(f"parity-sector eigenpair at k = {k} leaves "
+                                    f"operator residual {pair.residual_sup:.2e}")
         mu_s = _nearest(mus, es.lam)
         mu_c = _nearest(mus, ec.lam)
         pred = splitting_prediction(p, k)
@@ -243,8 +212,8 @@ def splitting_table(p: AngularPotential, dec: SpectralDecomposition,
         err = abs(split - pred)
         match = max(abs(es.lam - mu_s), abs(ec.lam - mu_c))
         rows.append(SplittingRow(
-            k=int(k), lam_sine=es.lam, lam_cosine=ec.lam, mu_sine=mu_s, mu_cosine=mu_c,
-            splitting=split, predicted_splitting=pred, splitting_error=err,
+            k=int(k), lam_sine=es.lam, lam_cosine=ec.lam, splitting=split,
+            predicted_splitting=pred, splitting_error=err,
             scaled_splitting_error=k * err, match_residual=match, scaled_match=k * match,
         ))
     ks = np.array([r.k for r in rows], dtype=float)

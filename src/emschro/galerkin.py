@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import eigvals_banded
 
 from .errors import InsufficientResolution, InvalidInput, InvalidMatrix
-from .potentials import AngularPotential, theta_grid
+from .potentials import AngularPotential, power_of_two_at_least, theta_grid
 
 HERMITIAN_DEFECT_TOL = 1e-12
 RESOLVE_FACTOR = 1.5
@@ -150,13 +150,13 @@ def _phase_fix(U: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigensolve(H: np.ndarray, potential: AngularPotential | None = None,
-               resolved_count: int = 0) -> SpectralDecomposition:
+def eigensolve(H: np.ndarray, potential: AngularPotential | None = None
+               ) -> SpectralDecomposition:
     """Backward-stable dense Hermitian eigensolve with phase fixing.
 
     H is checked once, as given: its defect max |H - H^H| is refused past
     HERMITIAN_DEFECT_TOL of max(1, max |H|) and reported, and the Hermitian
-    part 0.5 (H + H^H) is solved.
+    part 0.5 (H + H^H) is solved.  Nothing is certified: `resolved_count` is 0.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 != 1:
@@ -169,7 +169,7 @@ def eigensolve(H: np.ndarray, potential: AngularPotential | None = None,
     U = _phase_fix(U)
     M = H.shape[0] // 2
     return SpectralDecomposition(
-        eigenvalues=w, coeffs=U, M=M, resolved_count=resolved_count,
+        eigenvalues=w, coeffs=U, M=M, resolved_count=0,
         hermitian_defect=defect, potential=potential,
     )
 
@@ -209,9 +209,7 @@ class ModePairing:
 
 def _gauge_profile_coeffs(p: AngularPotential, M: int) -> np.ndarray:
     """Coefficients (modes -M..M) of e^{-i P(theta)}, P = periodic part of int A."""
-    n = 1
-    while n < 8 * (M + p.A_bandwidth + 1):
-        n *= 2
+    n = power_of_two_at_least(8 * (M + p.A_bandwidth + 1))
     th = theta_grid(n)
     P = p.integral_A(th) - p.circulation * th
     q = np.fft.fft(np.exp(-1j * P)) / n
@@ -219,15 +217,13 @@ def _gauge_profile_coeffs(p: AngularPotential, M: int) -> np.ndarray:
     return q[modes % n]
 
 
-def model_coeff_vector(p: AngularPotential, j: int, M: int,
-                       base: np.ndarray | None = None) -> np.ndarray:
+def model_coeff_vector(p: AngularPotential, j: int, M: int, base: np.ndarray) -> np.ndarray:
     """Coefficient vector of the model eigenfunction for signed index j.
 
     Model: (1/sqrt(2pi)) exp(-i(L theta + int_0^theta A)) exp(i (Atil + j) theta)
-    with L = floor(Atil + 1/2); equals e^{i(j - L) theta} e^{-i P} / sqrt(2pi).
+    with L = floor(Atil + 1/2); equals e^{i(j - L) theta} e^{-i P} / sqrt(2pi),
+    where `base` holds the coefficients of e^{-i P} (`_gauge_profile_coeffs`).
     """
-    if base is None:
-        base = _gauge_profile_coeffs(p, M)
     shift = j - p.circulation_floor
     out = np.zeros(2 * M + 1, dtype=complex)
     src_modes = np.arange(-M, M + 1)
@@ -244,7 +240,7 @@ def pair_modes(dec: SpectralDecomposition, p: AngularPotential,
     out = []
     w = dec.eigenvalues
     for j in j_list:
-        mv = model_coeff_vector(p, int(j), dec.M, base=base)
+        mv = model_coeff_vector(p, int(j), dec.M, base)
         ov = np.abs(dec.coeffs.conj().T @ mv)
         k = int(np.argmax(ov))
         second = float(np.partition(ov, -2)[-2]) if ov.size > 1 else 0.0
@@ -276,7 +272,6 @@ class ClusterReport:
     smallest_c: float
     disjoint: bool
     rows: list[ClusterRow]
-    alpha_bound: float
 
 
 def cluster_check(dec: SpectralDecomposition, p: AngularPotential,
@@ -318,7 +313,7 @@ def cluster_check(dec: SpectralDecomposition, p: AngularPotential,
         for k in range(k_min, k_max)
     )
     return ClusterReport(passed=ok and disjoint, smallest_c=c_needed,
-                         disjoint=disjoint, rows=rows, alpha_bound=alpha_bound)
+                         disjoint=disjoint, rows=rows)
 
 
 def subspace_angle(U1: np.ndarray, U2: np.ndarray) -> float:

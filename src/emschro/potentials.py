@@ -134,13 +134,16 @@ def theta_grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def default_grid_size(p: AngularPotential) -> int:
-    """Grid large enough for spectrally exact work with this potential (at least 256)."""
-    need = max(256, 4 * (p.bandwidth + 1))
+def power_of_two_at_least(need: int) -> int:
     n = 1
     while n < need:
         n *= 2
     return n
+
+
+def default_grid_size(p: AngularPotential) -> int:
+    """Grid large enough for spectrally exact work with this potential (at least 256)."""
+    return power_of_two_at_least(max(256, 4 * (p.bandwidth + 1)))
 
 
 def coeffs_from_samples(samples, n_modes: int) -> np.ndarray:
@@ -181,22 +184,21 @@ def constant_potential(a0: float = 0.0, alpha: float = 0.0) -> AngularPotential:
     return AngularPotential(np.array([a0], complex), np.array([alpha], complex))
 
 
-def classify_resonance(p: AngularPotential, tol: float = RESONANCE_TOL) -> ResonanceClass:
+def classify_resonance(p: AngularPotential) -> ResonanceClass:
     ab = p.reduced_circulation
-    if abs(ab) <= tol:
+    if abs(ab) <= RESONANCE_TOL:
         return ResonanceClass.INTEGER
-    if abs(ab + 0.5) <= tol:
+    if abs(ab + 0.5) <= RESONANCE_TOL:
         return ResonanceClass.HALF_INTEGER
     return ResonanceClass.NON_RESONANT
 
 
-def require_non_resonant(p: AngularPotential, tol: float = RESONANCE_TOL) -> float:
-    cls = classify_resonance(p, tol)
+def require_non_resonant(p: AngularPotential) -> None:
+    cls = classify_resonance(p)
     if cls is not ResonanceClass.NON_RESONANT:
         raise ResonantParameter(
             f"reduced circulation {p.reduced_circulation!r} lies in the resonant set ({cls.value})"
         )
-    return p.reduced_circulation
 
 
 def inverse_gauge_transform(p: AngularPotential, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, NoConvergence, ResonantParameter
-from .galerkin import SpectralDecomposition, loglog_slope, pair_modes
+from .galerkin import SpectralDecomposition, _phase_fix, loglog_slope, pair_modes
 from .potentials import (AngularPotential, default_grid_size, inverse_gauge_transform,
                          theta_grid)
 
@@ -49,7 +49,6 @@ class WkbSolution:
     s: float
     a_mean: float
     grid_n: int
-    W: np.ndarray = field(repr=False)
     W_coeffs: np.ndarray = field(repr=False)
     mean_W: complex
     residual_sup: float
@@ -95,9 +94,8 @@ def fixed_point(p: AngularPotential, lam: float, delta: float = DEFAULT_DELTA) -
         raise NoConvergence(f"no contraction after {MAX_ITER} iterations at lambda = {lam}")
     W_coeffs = np.fft.fft(W) / n
     residual = _ode_residual(p, W_coeffs, s, atil)
-    return WkbSolution(lam=float(lam), s=s, a_mean=atil, grid_n=n, W=W,
-                       W_coeffs=W_coeffs, mean_W=complex(W_coeffs[0]),
-                       residual_sup=residual, iterations=it)
+    return WkbSolution(lam=float(lam), s=s, a_mean=atil, grid_n=n, W_coeffs=W_coeffs,
+                       mean_W=complex(W_coeffs[0]), residual_sup=residual, iterations=it)
 
 
 def _ode_residual(p: AngularPotential, W_coeffs: np.ndarray, s: float, atil: float) -> float:
@@ -137,12 +135,10 @@ class AsymptoticEigenpair:
     branch: str
     lam: float
     s: float
-    predicted_lambda: float      # mean(a) + (j + Abar)^2
     mean_W: complex
     fp_residual: float
     grid_n: int
     phi_coeffs: np.ndarray = field(repr=False)   # orthonormal-basis coefficients
-    outer_iterations: int = 0
 
 
 def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
@@ -157,8 +153,7 @@ def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
     sgn_ab = ab if branch == "plus" else -ab
     atil = p.a_mean
     s = sgn_ab + k
-    sol = None
-    for outer in range(1, MAX_OUTER + 1):
+    for _ in range(MAX_OUTER):
         sol = fixed_point(p, atil + s * s, delta=delta)
         s_new = sgn_ab + k - sol.mean_W.real
         if abs(s_new - s) <= BRANCH_TOL:
@@ -181,13 +176,10 @@ def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
     nrm = math.sqrt(float(np.mean(np.abs(phi) ** 2)) * 2.0 * math.pi)
     phi = phi / nrm
     coeffs = np.fft.fft(phi) / phi.size * math.sqrt(2.0 * math.pi)
-    i = int(np.argmax(np.abs(coeffs)))
-    coeffs = coeffs * (np.conj(coeffs[i]) / abs(coeffs[i]))
     return AsymptoticEigenpair(
         j=signed_j, branch=branch, lam=float(atil + s * s), s=float(s),
-        predicted_lambda=float(atil + (signed_j + ab) ** 2),
         mean_W=sol.mean_W, fp_residual=sol.residual_sup, grid_n=sol.grid_n,
-        phi_coeffs=coeffs, outer_iterations=outer,
+        phi_coeffs=_phase_fix(coeffs[:, None])[:, 0],
     )
 
 

@@ -212,6 +212,27 @@ def test_out_of_range_ells_are_refused_before_any_work(tmp_path, monkeypatch):
     assert solved == []
 
 
+# before these were checked up front, each exited 5 or ran the Galerkin solve first
+@pytest.mark.parametrize("command,doc", [
+    ("kernel-scan", {"kernel_scan": {"M": 32, "n_theta": 2}}),
+    ("decay", {"decay": {"M": 32, "n_theta": 3}}),
+    ("decay", {"decay": {"M": 32, "r0": "x"}}),
+    ("spectrum", {"potential": {"a_coeffs": [[float("nan"), 0.0]],
+                                "A_coeffs": [[0.3, 0.0]]}}),
+    ("spectrum", {"potential": {"a_samples": [0.0, float("nan"), 0.0, 0.0],
+                                "n_modes": 1, "A_coeffs": [[0.3, 0.0]]}}),
+], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+def test_bad_values_are_refused_before_any_work(tmp_path, monkeypatch, command, doc):
+    solved = []
+    monkeypatch.setattr(galerkin, "compute_spectrum", lambda *args: solved.append(args))
+    cfg = write_config(tmp_path, "bad.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"), **doc,
+    })
+    assert cli.main([command, cfg]) == cli.EXIT_CONFIG
+    assert solved == []
+
+
 def test_exit_code_resolution_failure(ab_config):
     # 256 radial points cannot satisfy the sampling rule at t = 0.1
     assert cli.main(["decay", ab_config]) == cli.EXIT_RESOLUTION

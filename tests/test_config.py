@@ -77,6 +77,38 @@ def test_value_validation():
         parse_config({**GOOD, "kernel_scan": {"tol": 0.0}})
     with pytest.raises(ConfigError):
         parse_config({**GOOD, "output_dir": ""})
+    # sections are JSON objects; these exited 5
+    for doc in ({**GOOD, "spectrum": 5}, {**GOOD, "spectrum": [["M", 4]]},
+                {**GOOD, "potential": 5}):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            parse_config(doc)
+    # r0 had no kind: "x" and NaN exited 5 after the Galerkin solve, true read as 1.0
+    for r0 in ("x", float("nan"), True, float("inf"), None):
+        with pytest.raises(ConfigError, match="decay.r0"):
+            parse_config({**GOOD, "decay": {"r0": r0}})
+    assert parse_config({**GOOD, "decay": {"r0": -1}}).section("decay")["r0"] == -1
+    for section in ("kernel_scan", "decay"):
+        with pytest.raises(ConfigError, match=f"{section}.n_theta"):
+            parse_config({**GOOD, section: {"n_theta": 3}})
+    # null stands for "the command chooses" only where that is the default
+    with pytest.raises(ConfigError):
+        parse_config({**GOOD, "spectrum": {"M": None}})
+    assert parse_config({**GOOD, "decay": {"count": None}}).section("decay")["count"] is None
+
+
+@pytest.mark.parametrize("potential", [
+    {"a_coeffs": [[float("nan"), 0.0]], "A_coeffs": [[0.3, 0.0]]},
+    {"a_coeffs": [[float("inf"), 0.0]], "A_coeffs": [[0.3, 0.0]]},
+    {"a_coeffs": [["x", 0.0]], "A_coeffs": [[0.3, 0.0]]},
+    {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, True]]},
+    {"a_coeffs": [[0.0, 0.0], [1.0], [0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+    {"a_samples": [0.0, float("nan"), 0.0, 0.0], "n_modes": 1, "A_coeffs": [[0.3, 0.0]]},
+    {"a_samples": [0.0, "x", 0.0, 0.0], "n_modes": 1, "A_coeffs": [[0.3, 0.0]]},
+    {"a_samples": [0.0, 1.0, 0.0, 0.0], "n_modes": True, "A_coeffs": [[0.3, 0.0]]},
+], ids=lambda v: json.dumps(v))
+def test_potential_entries_must_be_finite_numbers(potential):
+    with pytest.raises(ConfigError):
+        parse_config({**GOOD, "potential": potential})
 
 
 def test_load_config_error_paths(tmp_path):

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from emschro import electric
 from emschro.electric import (
     even_cosine_coefficients,
     half_integer_table,
     solve_pair,
     splitting_table,
 )
-from emschro.errors import InvalidInput, SymmetryViolation
+from emschro.errors import InvalidInput, NoConvergence, SymmetryViolation
 from emschro.galerkin import compute_spectrum
 from emschro.potentials import AngularPotential, build_potential
 
@@ -97,8 +98,13 @@ def test_solve_pair_residual_and_shift(p_even_electric):
         pair = solve_pair(p_even_electric, k, parity)
         assert pair.residual_sup < 1e-9
         assert abs(pair.lam - k * k) < 1.2
-        sign = -1.0 if parity == "sine" else 1.0
-        assert pair.first_order_shift == sign * (1.0 if k == 1 else 0.0)
+
+
+def test_splitting_table_refuses_a_pair_that_misses_the_operator(
+        p_even_electric, dec_even, monkeypatch):
+    monkeypatch.setattr(electric, "_operator_residual", lambda *args: 1e-6)
+    with pytest.raises(NoConvergence):
+        splitting_table(p_even_electric, dec_even, [1])
 
 
 def test_solve_pair_validation(p_even_electric):
