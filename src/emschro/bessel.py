@@ -1,26 +1,37 @@
 """Bessel J evaluation for real nonnegative order: one vectorized surface.
 
-`j_grid` is the only J_nu evaluator.  It splits the radii into three regimes:
+`j_grid` is the only J_nu evaluator.  It splits the radii into four regimes:
 
 - an ascending power series for x <= max(12, nu/2), where the series is
   absolutely convergent with bounded cancellation;
+- a per-order table on [TABLE_X_LO, `asymptotic_switch_radius(nu)`): pieces
+  of width TABLE_WIDTH, each a degree-TABLE_DEGREE polynomial evaluated by
+  Horner's rule.  Its node values come from Bessel's integral (Watson, sec.
+  6.2) summed by Gauss-Legendre quadrature, and at build time every piece is
+  checked at one off-node point against that integral; an order that misses
+  keeps the series/scipy route.  A call uses the table only when at least
+  TABLE_MIN_VALUES of its radii fall in that range, and then the series
+  serves only x < TABLE_X_LO.  The rule reads nu and the count alone, so a
+  value never depends on which tables are cached;
 - Hankel's asymptotic expansion J_nu(x) = sqrt(2/(pi x)) [P cos w - Q sin w],
   w = x - nu pi/2 - pi/4, with ASYMPTOTIC_PAIRS term pairs of P and Q, for
   x >= `asymptotic_switch_radius(nu)`;
-- scipy's Amos backend in between, and for every x when nu >= 2K + 1/2.
+- scipy's Amos backend between the series and the expansion when the table
+  does not serve, and for every x past the series when nu >= 2K + 1/2.
 
 For real nu and 2K > nu - 1/2, the remainders of P and Q after K terms each
 are smaller than their first omitted terms (Watson, A Treatise on the Theory
 of Bessel Functions, sec. 7.32).  The switch is where both omitted terms are
 at most 2^-53, so the truncation is certified, not tuned.  Against 30-digit
-mpmath references every regime stays below 2e-12 absolute error
-(tests/test_bessel.py checks this across both switches).
+mpmath references every regime stays below 2e-12 absolute error, and the
+table below 1e-14 (tests/test_bessel.py checks this across the switches).
 The tail majorant (rho/2)^nu / Gamma(nu+1) (valid for every real rho >= 0 and
 nu >= 0) is what kernel truncation uses.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +45,16 @@ ASYMPTOTIC_PAIRS = 8            # K: term pairs of P and Q in Hankel's expansion
 # Half-integer orders make Watson's radius 0; from x = 20 on, no term of P or
 # Q exceeds 55 for any order the expansion serves, so rounding stays a few ulps.
 ASYMPTOTIC_SWITCH_FLOOR = 20.0
-ASYMPTOTIC_BLOCK = 16384        # values per block of the expansion (bounds temporaries)
+ASYMPTOTIC_BLOCK = 16384        # values per block of the expansion and the table (bounds temporaries)
+TABLE_X_LO = 2.0                # the table serves [TABLE_X_LO, asymptotic_switch_radius(nu))
+TABLE_WIDTH = 0.25              # width of one table piece
+TABLE_DEGREE = 10               # polynomial degree on each piece
+TABLE_MIN_VALUES = 8192         # in-range radii one call needs to use the table (~ one build's cost)
+TABLE_CACHE_ORDERS = 64         # orders whose tables are kept
+TABLE_CHECK_ATOL = 1e-14        # build check: table against the integral off the nodes
+QUADRATURE_POINTS = 96          # Gauss-Legendre points per panel of Bessel's integral
+QUADRATURE_PANEL_PHASE = 48.0   # the theta integral gets one panel per 48 of nu + x
+QUADRATURE_BLOCK = 64           # radii per block of the quadrature (bounds temporaries)
 LANDAU_N_R = 2000               # radii per order in the uniform-order bound scan
 
 
@@ -84,28 +104,124 @@ def asymptotic_switch_radius(nu: float) -> float:
 
 
 def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
-    """J_nu at every radius of an array: series, scipy, then Hankel's expansion."""
+    """J_nu at every radius of an array: series, table or scipy, then Hankel's expansion."""
     nuf = _check_order(nu)
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0):
         raise InvalidInput("arguments must be nonnegative")
     out = np.empty(rr.shape, dtype=float)
     flat_r, flat_out = rr.reshape(-1), out.reshape(-1)
-    mask = flat_r <= series_switch_radius(nuf)
+    cut = asymptotic_switch_radius(nuf)
+    mask = (flat_r >= TABLE_X_LO) & (flat_r < cut)
+    table = _table(nuf) if np.count_nonzero(mask) >= TABLE_MIN_VALUES else None
+    # the asymptotic radius exceeds the series one; one mask at a time bounds memory
+    large = np.flatnonzero(flat_r >= cut)
+    if table is not None:
+        _by_blocks(functools.partial(_table_values, table), flat_r, flat_out,
+                   np.flatnonzero(mask))
+        np.less(flat_r, TABLE_X_LO, out=mask)
+    else:
+        np.less_equal(flat_r, series_switch_radius(nuf), out=mask)
     if np.any(mask):
         flat_out[mask] = _series_vec(nuf, flat_r[mask])
-    # the asymptotic radius exceeds the series one; one mask at a time bounds memory
-    large = np.flatnonzero(flat_r >= asymptotic_switch_radius(nuf))
-    mask = np.logical_not(mask, out=mask)
-    mask[large] = False
-    if np.any(mask):
-        flat_out[mask] = _scipy_jv(nuf, flat_r[mask])
+    if table is None:
+        mask = np.logical_not(mask, out=mask)
+        mask[large] = False
+        if np.any(mask):
+            flat_out[mask] = _scipy_jv(nuf, flat_r[mask])
     del mask
     if large.size:
         a = _hankel_coefficients(nuf, 2 * ASYMPTOTIC_PAIRS)
-        for b0 in range(0, large.size, ASYMPTOTIC_BLOCK):
-            sel = large[b0:b0 + ASYMPTOTIC_BLOCK]
-            flat_out[sel] = _hankel_asymptotic(nuf, a, flat_r[sel])
+        _by_blocks(functools.partial(_hankel_asymptotic, nuf, a), flat_r, flat_out, large)
+    return out
+
+
+def _by_blocks(f, flat_r: np.ndarray, flat_out: np.ndarray, idx: np.ndarray) -> None:
+    """flat_out[idx] = f(flat_r[idx]), ASYMPTOTIC_BLOCK values at a time."""
+    for b0 in range(0, idx.size, ASYMPTOTIC_BLOCK):
+        sel = idx[b0:b0 + ASYMPTOTIC_BLOCK]
+        flat_out[sel] = f(flat_r[sel])
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_ORDERS)
+def _table(nu: float) -> np.ndarray | None:
+    """Read-only table of J_nu on [TABLE_X_LO, R(nu)), or None where it is not served.
+
+    Piece i covers x = TABLE_X_LO + TABLE_WIDTH (i + (1 + u) / 2), u in [-1, 1],
+    and column i holds its coefficients of u^0 .. u^TABLE_DEGREE.  The node
+    values at the Chebyshev points of the first kind give Chebyshev
+    coefficients, which are then converted to powers of u.  None where R(nu)
+    is infinite, or where the table misses the integral by more than
+    TABLE_CHECK_ATOL at the left end of some piece (u = -1, not a node).
+    """
+    cut = asymptotic_switch_radius(nu)
+    if math.isinf(cut):
+        return None
+    n = TABLE_DEGREE + 1
+    left = TABLE_X_LO + TABLE_WIDTH * np.arange(math.ceil((cut - TABLE_X_LO) / TABLE_WIDTH))
+    angles = (math.pi / n) * (np.arange(n) + 0.5)
+    nodes = left[:, None] + (0.5 * TABLE_WIDTH) * (1.0 + np.cos(angles))
+    values = _bessel_integral(nu, np.concatenate([nodes.ravel(), left]))
+    cheb = values[:nodes.size].reshape(nodes.shape) @ np.cos(np.outer(np.arange(n), angles)).T
+    cheb *= 2.0 / n
+    cheb[:, 0] *= 0.5
+    power = np.zeros((n, n))   # row j: the coefficients of u^k in T_j(u)
+    power[0, 0] = power[1, 1] = 1.0
+    for j in range(2, n):
+        power[j, 1:] = 2.0 * power[j - 1, :-1]
+        power[j] -= power[j - 2]
+    table = (cheb @ power).T.copy()
+    table.setflags(write=False)
+    miss = np.max(np.abs(_table_values(table, left) - values[nodes.size:]))
+    return table if miss <= TABLE_CHECK_ATOL else None
+
+
+def _table_values(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A `_table` at x in its range: Horner's rule in u, one gather per degree."""
+    t = (x - TABLE_X_LO) * (1.0 / TABLE_WIDTH)   # exact: TABLE_X_LO is a multiple of ulp(x)
+    piece = t.astype(np.intp)
+    u = t - piece
+    u *= 2.0
+    u -= 1.0
+    out = table[-1].take(piece)
+    gathered = np.empty_like(out)
+    for row in table[-2::-1]:
+        out *= u
+        out += row.take(piece, out=gathered)
+    return out
+
+
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """QUADRATURE_POINTS Gauss-Legendre nodes moved to [0, 1], and their weights on [-1, 1]."""
+    g, w = np.polynomial.legendre.leggauss(QUADRATURE_POINTS)
+    return 0.5 * (g + 1.0), w
+
+
+def _bessel_integral(nu: float, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) for x > 0 from Bessel's integral (Watson, sec. 6.2), by Gauss-Legendre sums.
+
+    J_nu(x) = (1/pi) int_0^pi cos(nu th - x sin th) dth
+              - (sin nu pi / pi) int_0^inf exp(-x sinh t - nu t) dt.
+    The theta integral is split into ceil((nu + max x) / QUADRATURE_PANEL_PHASE)
+    panels, so its phase turns by at most QUADRATURE_PANEL_PHASE pi on each; the
+    t integral stops where x sinh t = 745, past which exp underflows.
+    """
+    g, w = _gauss_legendre()
+    panels = math.ceil((nu + float(np.max(x))) / QUADRATURE_PANEL_PHASE)
+    theta = (math.pi / panels) * (np.arange(panels)[:, None] + g).ravel()
+    sin_theta, w_theta = np.sin(theta), np.tile(w, panels) * (0.5 / panels)
+    sin_nu_pi = math.sin(math.pi * math.fmod(nu, 2.0))
+    out = np.empty(x.shape)
+    for b0 in range(0, x.size, QUADRATURE_BLOCK):
+        xb = x[b0:b0 + QUADRATURE_BLOCK]
+        v = np.cos(nu * theta - np.outer(xb, sin_theta)) @ w_theta
+        if sin_nu_pi != 0.0:
+            span = np.arcsinh(745.0 / xb)
+            t = np.outer(span, g)
+            v -= (0.5 * sin_nu_pi / math.pi) * span * (
+                np.exp(-xb[:, None] * np.sinh(t) - nu * t) @ w)
+        out[b0:b0 + QUADRATURE_BLOCK] = v
     return out
 
 

@@ -263,10 +263,11 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
 def cmd_decay(cfg: ExperimentConfig, out_dir: str | None) -> int:
     sec = cfg.section("decay")
     p = cfg.potential
-    dec = galerkin.compute_spectrum(p, sec["M"])
-    data = kernel.from_spectrum(dec, count=sec["count"])
+    # the ring refuses r0 >= r_max before any solve
     u0 = propagator.gaussian_ring(sec["r0"], sec["w"], sec["n_r"], sec["r_max"],
                                   sec["n_theta"], sec["angular_mode"])
+    dec = galerkin.compute_spectrum(p, sec["M"])
+    data = kernel.from_spectrum(dec, count=sec["count"])
     report = propagator.decay_profile(data, u0, sec["t_list"])
     rows = [(row.t, row.sup_norm, row.decay_functional,
              row.l2_norm / report.l2_initial) for row in report.rows]

@@ -68,6 +68,11 @@ class KernelEigendata:
         return (float(np.max(np.abs(self.potential.a_values(th)))),
                 float(np.max(np.abs(self.potential.A_values(th)))))
 
+    @cached_property
+    def lgamma_beta(self) -> np.ndarray:
+        """math.lgamma(beta_k + 1) for every mode, computed once."""
+        return np.array([math.lgamma(b + 1.0) for b in self.beta.tolist()])
+
     def psi_values(self, theta: np.ndarray) -> np.ndarray:
         """Matrix psi_k(theta), one row per retained mode."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -168,10 +173,19 @@ def tail_bound_beyond(data: KernelEigendata, rho: float) -> float:
 
 
 def term_bounds(data: KernelEigendata, rho: float) -> np.ndarray:
-    """Termwise majorants |J_{beta_k}(rho)| * sup|psi_k|^2 for the computed modes."""
-    return np.array([
-        bessel.term_tail_bound(b, rho) for b in data.beta
-    ]) * data.sup_bounds ** 2
+    """Termwise majorants |J_{beta_k}(rho)| * sup|psi_k|^2 for the computed modes.
+
+    Bit for bit `bessel.term_tail_bound` per mode: math.exp, as there, on the
+    terms that neither overflow nor underflow.
+    """
+    if rho == 0.0:
+        majorants = np.where(data.beta == 0.0, 1.0, 0.0)
+    else:
+        log_terms = data.beta * math.log(rho / 2.0) - data.lgamma_beta
+        majorants = np.where(log_terms > 700.0, math.inf, 0.0)
+        finite = np.flatnonzero((log_terms > -745.0) & (log_terms <= 700.0))
+        majorants[finite] = [math.exp(v) for v in log_terms[finite].tolist()]
+    return majorants * data.sup_bounds ** 2
 
 
 def truncation(data: KernelEigendata, rho: float, tol: float) -> tuple[int, float]:

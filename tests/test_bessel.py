@@ -155,3 +155,77 @@ def test_uniform_order_bound_scan():
     assert rep.finite
     # the scaled sup nu^{1/3} max_r |J_nu(r)| has a universal ceiling
     assert 0.60 < rep.constant < 0.72
+
+
+# -- the table regime on [TABLE_X_LO, asymptotic_switch_radius) ---------------------
+
+TABLE_ORDERS = (0.3, 1.7, 2.7, 8.66, 15.5)
+
+
+def _table_call(nu, x):
+    """j_grid at x inside a call with TABLE_MIN_VALUES radii in the table range."""
+    pad = np.linspace(bessel.TABLE_X_LO, bessel.asymptotic_switch_radius(nu),
+                      bessel.TABLE_MIN_VALUES, endpoint=False)
+    return bessel.j_grid(nu, np.concatenate([x, pad]))[:x.size]
+
+
+@pytest.fixture()
+def fresh_tables():
+    bessel._table.cache_clear()
+    yield
+    bessel._table.cache_clear()
+
+
+# 16.4 reaches x = 116, where the theta integral needs three panels
+@pytest.mark.parametrize("nu", (*TABLE_ORDERS, 16.4))
+def test_table_regime_matches_mpmath_across_both_switches(nu):
+    lo, cut = bessel.TABLE_X_LO, bessel.asymptotic_switch_radius(nu)
+    assert bessel._table(nu) is not None
+    x = np.concatenate([np.linspace(lo - 0.5, lo + 0.5, 41), np.linspace(lo, cut, 60),
+                        np.linspace(cut - 0.5, cut + 0.5, 41),
+                        [math.nextafter(lo, 0.0), math.nextafter(cut, 0.0)]])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
+    assert np.max(np.abs(_table_call(nu, x) - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("nu", TABLE_ORDERS)
+def test_table_and_direct_routes_agree(nu):
+    # the direct route's series cancels terms of up to ~4e3 between x = 6 and its
+    # switch, so the comparison skips that band (the test below covers it)
+    cut = bessel.asymptotic_switch_radius(nu)
+    x = np.concatenate([np.linspace(bessel.TABLE_X_LO, 6.0, 300),
+                        np.linspace(bessel.series_switch_radius(nu), cut, 700)[1:-1]])
+    assert x.size < bessel.TABLE_MIN_VALUES
+    assert np.max(np.abs(_table_call(nu, x) - bessel.j_grid(nu, x))) <= 2e-14
+
+
+@pytest.mark.parametrize("nu", (0.3, 1.7))
+def test_decay_sized_calls_escape_the_series_cancellation(nu):
+    x = np.linspace(10.0, 12.0, 41)
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
+    assert np.max(np.abs(_table_call(nu, x) - ref)) <= 1e-14
+
+
+def test_table_build_check_falls_back_to_the_direct_route(monkeypatch, fresh_tables):
+    nu = 1.7
+    real = bessel._bessel_integral
+
+    def one_bad_node(order, x):
+        out = real(order, x)
+        out[7 * (bessel.TABLE_DEGREE + 1) + 3] += 1e-11   # a node of piece 7
+        return out
+
+    monkeypatch.setattr(bessel, "_bessel_integral", one_bad_node)
+    assert bessel._table(nu) is None
+    x = np.linspace(0.0, 40.0, 3 * bessel.TABLE_MIN_VALUES)
+    direct = np.concatenate([bessel.j_grid(nu, part) for part in np.array_split(x, 6)])
+    assert np.array_equal(bessel.j_grid(nu, x), direct)
+
+
+def test_table_is_only_built_below_the_watson_limit():
+    assert bessel._table(2 * bessel.ASYMPTOTIC_PAIRS + 0.5) is None
+    table = bessel._table(0.3)
+    assert table.shape[0] == bessel.TABLE_DEGREE + 1
+    assert not table.flags.writeable

@@ -123,6 +123,20 @@ def test_wkb_refuses_a_resonant_circulation_before_any_solve(tmp_path, monkeypat
     assert "resonant set (half_integer_circulation)" in capsys.readouterr().err
 
 
+def test_decay_refuses_a_ring_past_r_max_before_any_solve(tmp_path, monkeypatch, capsys):
+    def no_solve(*args, **kw):
+        raise AssertionError("compute_spectrum ran before the ring was checked")
+
+    monkeypatch.setattr(galerkin, "compute_spectrum", no_solve)
+    cfg = write_config(tmp_path, "ring.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "decay": {"M": 200, "r0": 20.0},
+    })
+    assert cli.main(["decay", cfg]) == cli.EXIT_CONFIG
+    assert "r_max > r0" in capsys.readouterr().err
+
+
 def test_decay_snapshots_load_back_as_the_evolved_fields(tmp_path):
     cfg = write_config(tmp_path, "snap.json", {
         "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},

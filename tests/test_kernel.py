@@ -102,6 +102,14 @@ def test_term_bounds_decay_past_the_bump():
     assert np.all(np.diff(b[k:]) <= 0)
 
 
+@pytest.mark.parametrize("rho", [0.0, 1e-300, 0.5, 10.0, 50.0, 1e5])
+def test_term_bounds_match_the_scalar_majorant_bit_for_bit(rho):
+    # free orders include beta = 0; rho = 1e-300 underflows, rho = 1e5 overflows
+    for data in (ab_eigendata(0.3, 120), kernel.circulation_eigendata(0.0, 40)):
+        loop = np.array([bessel.term_tail_bound(b, rho) for b in data.beta])
+        assert np.array_equal(term_bounds(data, rho), loop * data.sup_bounds ** 2)
+
+
 def test_cutoff_index_certifies(p_ab):
     data = ab_eigendata(0.3, 120)
     n = cutoff_index(data, 5.0, 1e-9)
