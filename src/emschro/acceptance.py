@@ -66,10 +66,7 @@ def _suite_spectra(M: int):
 
 @lru_cache(maxsize=None)
 def _residual_tables():
-    tables = []
-    for p, dec in zip(_suite_potentials(), _suite_spectra(96)):
-        tables.append(asymptotic_residuals(p, dec, tuple(range(8, 49))))
-    return tuple(tables)
+    return tuple(asymptotic_residuals(dec, tuple(range(8, 49))) for dec in _suite_spectra(96))
 
 
 def criterion_1() -> tuple[bool, str]:
@@ -77,7 +74,7 @@ def criterion_1() -> tuple[bool, str]:
     worst_eig = 0.0
     worst_vec = 0.0
     for alpha in (0.3, -0.25, 0.5):
-        dec = compute_spectrum(constant_potential(0.0, alpha), 64)
+        dec = compute_spectrum(constant_potential(alpha), 64)
         k = np.arange(-64, 65)
         exact = np.sort((k + alpha) ** 2)
         worst_eig = max(worst_eig, float(np.max(np.abs(np.sort(dec.eigenvalues) - exact))))
@@ -136,9 +133,8 @@ def criterion_5() -> tuple[bool, str]:
     """Exactly two eigenvalues per perturbation ball, balls disjoint."""
     parts = []
     ok = True
-    for label, (p, dec) in zip(("cos/0.3", "mixed"),
-                               zip(_suite_potentials(), _suite_spectra(96))):
-        rep = cluster_check(dec, p, 10, 40)
+    for label, dec in zip(("cos/0.3", "mixed"), _suite_spectra(96)):
+        rep = cluster_check(dec, 10, 40)
         ok = ok and rep.passed and rep.disjoint
         parts.append(f"{label}: two-per-ball {rep.passed}, disjoint {rep.disjoint}, "
                      f"c {rep.smallest_c:.3f}")
@@ -149,7 +145,7 @@ def criterion_6() -> tuple[bool, str]:
     """Electric splitting at the first pair plus half-circulation residuals."""
     p_even = build_potential(a_coeffs=[1.0, 0.0, 0.0, 0.0, 1.0], A_coeffs=[0.0])
     dec_even = compute_spectrum(p_even, 96)
-    st = splitting_table(p_even, dec_even, range(1, 33))
+    st = splitting_table(dec_even, range(1, 33))
     row1 = next(r for r in st.rows if r.k == 1)
     split_err = abs(row1.splitting - 2.0)
     # branch residual k*|lambda - (k^2 + mean(a) -/+ c_{2k}/2)| over k in [4, 32]
@@ -171,9 +167,8 @@ def criterion_6() -> tuple[bool, str]:
              f"k-scaled max {max(scaled):.4f}"]
     for label, a_coeffs in (("2cos2t", [1.0, 0.0, 0.0, 0.0, 1.0]),
                             ("cos", [0.5, 0.0, 0.5])):
-        p_half = build_potential(a_coeffs=a_coeffs, A_coeffs=[0.5])
-        dec_half = compute_spectrum(p_half, 96)
-        ht = half_integer_table(p_half, dec_half, range(4, 33))
+        dec_half = compute_spectrum(build_potential(a_coeffs=a_coeffs, A_coeffs=[0.5]), 96)
+        ht = half_integer_table(dec_half, range(4, 33))
         finite = all(math.isfinite(r.scaled_residual) for r in ht.rows)
         ok = ok and ht.slope <= -1.0 and finite
         parts.append(f"half-circ {label}: slope {ht.slope:.3f}")
@@ -204,9 +199,9 @@ def criterion_7() -> tuple[bool, str]:
     rep_pos = sup_scan(from_spectrum(dec_pos), rho_max=50.0, n_rho=200, n_theta=64)
     parts.append(f"[supplementary, ungated] 1+cos/0.3: max {rep_pos.max_abs:.5f}, "
                  f"variation {rep_pos.top_two_decade_variation:.4f}")
-    p_small = build_potential(a_coeffs=[0.1, 0.0, 0.1], A_coeffs=[0.3])
-    dec_small = compute_spectrum(p_small, 160)
-    drep = difference_scan(dec_small, p_small, ells=(4, 8, 16), rho_max=50.0)
+    dec_small = compute_spectrum(build_potential(a_coeffs=[0.1, 0.0, 0.1],
+                                                 A_coeffs=[0.3]), 160)
+    drep = difference_scan(dec_small, ells=(4, 8, 16), rho_max=50.0)
     diff_ok = drep.decreasing and drep.slope <= -2.0
     ds = ", ".join(f"D({r.ell})={r.max_abs:.4f}" for r in drep.rows)
     parts.append(f"gap on 0.2cos/0.3: {ds}, decreasing {drep.decreasing}, "

@@ -304,7 +304,7 @@ class LandauReport:
     finite: bool
 
 
-def landau_bound_check(nu_max: int = 500) -> LandauReport:
+def landau_bound_check(nu_max: int) -> LandauReport:
     """Measure sup over nu in {1..nu_max}, r in [0, nu_max + 20], of |J_nu(r)| nu^{1/3}."""
     if nu_max < 1:
         raise InvalidInput("nu_max must be >= 1")

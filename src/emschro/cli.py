@@ -106,7 +106,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
 
     if cls is ResonanceClass.NON_RESONANT:
         j_list = list(range(sec["j_min"], sec["j_max"] + 1))
-        table = wkb.asymptotic_residuals(p, dec, j_list, grid_n=sec["grid_n"])
+        table = wkb.asymptotic_residuals(dec, j_list, grid_n=sec["grid_n"])
         _write_csv(
             _out(cfg, out_dir, "residuals.csv"),
             ["j", "k", "mu", "eig_residual", "scaled_eig", "sup_R", "scaled_sup",
@@ -114,8 +114,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
             [(r.j, r.k, r.mu, r.eig_residual, r.scaled_eig, r.sup_R, r.scaled_sup,
               r.overlap, r.flagged) for r in table.rows],
         )
-        cluster = galerkin.cluster_check(dec, p, sec["cluster_k_min"],
-                                         sec["cluster_k_max"])
+        cluster = galerkin.cluster_check(dec, sec["cluster_k_min"], sec["cluster_k_max"])
         _write_csv(
             _out(cfg, out_dir, "clusters.csv"),
             ["k", "center", "radius", "count"],
@@ -129,7 +128,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
         try:
             if cls is ResonanceClass.INTEGER:
                 k_values = sec["k_values"] or list(range(4, 33))
-                table = electric.splitting_table(p, dec, k_values)
+                table = electric.splitting_table(dec, k_values)
                 _write_csv(
                     _out(cfg, out_dir, "splitting.csv"),
                     ["k", "lam_sine", "lam_cosine", "splitting",
@@ -144,7 +143,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
                     math.isfinite(r.scaled_match) for r in table.rows)
             else:
                 j_values = sec["j_values"] or list(range(4, 33))
-                table = electric.half_integer_table(p, dec, j_values)
+                table = electric.half_integer_table(dec, j_values)
                 _write_csv(
                     _out(cfg, out_dir, "half_integer.csv"),
                     ["j", "predicted", "mu_low", "mu_high", "residual",
@@ -243,7 +242,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
         ]
         thresholds["closed_form_max_diff"] = max(diffs)
     if sec["difference"]:
-        diff = kernel.difference_scan(dec, p, ells=sec["ells"], rho_max=sec["rho_max"])
+        diff = kernel.difference_scan(dec, ells=sec["ells"], rho_max=sec["rho_max"])
         _write_csv(_out(cfg, out_dir, "kernel_difference.csv"),
                    ["ell", "max_abs", "terms"],
                    [(r.ell, r.max_abs, r.terms) for r in diff.rows])

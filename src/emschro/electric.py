@@ -189,13 +189,13 @@ def _nearest(values: np.ndarray, x: float) -> float:
     return float(values[int(np.argmin(np.abs(values - x)))])
 
 
-def splitting_table(p: AngularPotential, dec: SpectralDecomposition,
-                    k_values) -> SplittingTable:
-    """Sector gaps and fixed-point eigenvalues against reference eigenvalues.
+def splitting_table(dec: SpectralDecomposition, k_values) -> SplittingTable:
+    """Sector gaps and fixed-point eigenvalues of `dec.potential` against `dec`'s eigenvalues.
 
     Refuses (NoConvergence) a fixed-point eigenvalue whose eigenfunction
     misses the operator by more than PAIR_RESIDUAL_RTOL max(1, lam).
     """
+    p = dec.potential
     mus = np.asarray(dec.eigenvalues, dtype=float)
     rows = []
     for k in k_values:
@@ -239,13 +239,13 @@ class HalfIntegerTable:
     slope: float
 
 
-def half_integer_table(p: AngularPotential, dec: SpectralDecomposition,
-                       j_values) -> HalfIntegerTable:
+def half_integer_table(dec: SpectralDecomposition, j_values) -> HalfIntegerTable:
     """Near-double eigenvalue pairs at half-integer reduced circulation.
 
     Expects |reduced circulation + 1/2| tiny; predictions are
     mean(a) + (j - 1/2)^2 with a two-element cluster at each j.
     """
+    p = dec.potential
     if abs(p.reduced_circulation + 0.5) > 1e-9:
         raise InvalidInput("half-integer table requires reduced circulation -1/2")
     mus = np.asarray(dec.eigenvalues, dtype=float)

@@ -28,7 +28,7 @@ class InsufficientResolution(EmschroError):
 class ResolutionError(InsufficientResolution):
     """Quadrature or grid under-resolves an oscillatory integrand."""
 
-    def __init__(self, message, suggested_n=None):
+    def __init__(self, message, suggested_n):
         super().__init__(message)
         self.suggested_n = suggested_n
 

@@ -109,7 +109,8 @@ class SpectralDecomposition:
     are L^2-orthonormal and phase-fixed so the largest-modulus coefficient is
     real positive.  The leading `resolved_count` eigenvalues agree with the
     eigenvalues of the M' = ceil(1.5 M) matrix to relative 1e-9.
-    `hermitian_defect` is max |H - H^H| of the assembled M matrix.
+    `hermitian_defect` is max |H - H^H| of the assembled M matrix, and
+    `potential` the pair (a, A) the matrix was assembled from.
     `reference_dim` (2M' + 1) and `band_halfwidth` (b) are the size of that
     re-solve; both are 0 when nothing was certified (a bare `eigensolve`).
     """
@@ -119,7 +120,7 @@ class SpectralDecomposition:
     M: int
     resolved_count: int
     hermitian_defect: float
-    potential: AngularPotential | None = None
+    potential: AngularPotential
     reference_dim: int = 0
     band_halfwidth: int = 0
 
@@ -150,8 +151,7 @@ def _phase_fix(U: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigensolve(H: np.ndarray, potential: AngularPotential | None = None
-               ) -> SpectralDecomposition:
+def eigensolve(H: np.ndarray, potential: AngularPotential) -> SpectralDecomposition:
     """Backward-stable dense Hermitian eigensolve with phase fixing.
 
     H is checked once, as given: its defect max |H - H^H| is refused past
@@ -181,7 +181,7 @@ def compute_spectrum(p: AngularPotential, M: int) -> SpectralDecomposition:
     only, from band storage (the dense M' matrix is never built), and counts
     the leading eigenvalues that match it to relative `RESOLVE_RTOL`.
     """
-    dec = eigensolve(assemble_matrix(p, M), potential=p)
+    dec = eigensolve(assemble_matrix(p, M), p)
     ab = _upper_band(p, int(math.ceil(RESOLVE_FACTOR * M)))
     w = dec.eigenvalues
     ref = eigvals_banded(ab, lower=False)[:w.size]
@@ -217,31 +217,26 @@ def _gauge_profile_coeffs(p: AngularPotential, M: int) -> np.ndarray:
     return q[modes % n]
 
 
-def model_coeff_vector(p: AngularPotential, j: int, M: int, base: np.ndarray) -> np.ndarray:
-    """Coefficient vector of the model eigenfunction for signed index j.
+def pair_modes(dec: SpectralDecomposition, j_list) -> list[ModePairing]:
+    """Match signed asymptotic indices j to decomposition columns by overlap.
 
-    Model: (1/sqrt(2pi)) exp(-i(L theta + int_0^theta A)) exp(i (Atil + j) theta)
-    with L = floor(Atil + 1/2); equals e^{i(j - L) theta} e^{-i P} / sqrt(2pi),
-    where `base` holds the coefficients of e^{-i P} (`_gauge_profile_coeffs`).
+    The model eigenfunction for j is conj(gauge) e^{i(Atil + j) theta} / sqrt(2pi)
+    = e^{i(j - L) theta} e^{-i P} / sqrt(2pi) (`AngularPotential.gauge`), whose
+    coefficients are those of e^{-i P} shifted by j - L.
     """
-    shift = j - p.circulation_floor
-    out = np.zeros(2 * M + 1, dtype=complex)
-    src_modes = np.arange(-M, M + 1)
-    dst = src_modes + shift
-    ok = (dst >= -M) & (dst <= M)
-    out[dst[ok] + M] = base[src_modes[ok] + M]
-    return out
-
-
-def pair_modes(dec: SpectralDecomposition, p: AngularPotential,
-               j_list) -> list[ModePairing]:
-    """Match signed asymptotic indices j to decomposition columns by overlap."""
+    p = dec.potential
     base = _gauge_profile_coeffs(p, dec.M)
+    n = base.size
     out = []
     w = dec.eigenvalues
+    adjoint = dec.coeffs.conj().T
     for j in j_list:
-        mv = model_coeff_vector(p, int(j), dec.M, base)
-        ov = np.abs(dec.coeffs.conj().T @ mv)
+        shift = int(j) - p.circulation_floor
+        mv = np.zeros(n, dtype=complex)
+        lo, hi = max(0, shift), min(n, n + shift)
+        if lo < hi:
+            mv[lo:hi] = base[lo - shift:hi - shift]
+        ov = np.abs(adjoint @ mv)
         k = int(np.argmax(ov))
         second = float(np.partition(ov, -2)[-2]) if ov.size > 1 else 0.0
         gap_prev = abs(w[k] - w[k - 1]) if k > 0 else np.inf
@@ -274,8 +269,7 @@ class ClusterReport:
     rows: list[ClusterRow]
 
 
-def cluster_check(dec: SpectralDecomposition, p: AngularPotential,
-                  k_min: int, k_max: int) -> ClusterReport:
+def cluster_check(dec: SpectralDecomposition, k_min: int, k_max: int) -> ClusterReport:
     """Exactly-two-eigenvalues-per-ball check around the squared integers.
 
     Balls are B(k^2, c + sqrt(alpha_bound + 4 k^2 Abar^2)) with alpha_bound the
@@ -284,6 +278,7 @@ def cluster_check(dec: SpectralDecomposition, p: AngularPotential,
     """
     if k_max <= k_min or k_min < 1:
         raise InvalidInput("need 1 <= k_min < k_max")
+    p = dec.potential
     ab = p.reduced_circulation
     th = theta_grid(4096)
     alpha_bound = float(np.max(np.abs(p.a_values(th) + ab ** 2)) ** 2)

@@ -84,8 +84,6 @@ class KernelEigendata:
 
 def from_spectrum(dec: SpectralDecomposition, count: int | None = None) -> KernelEigendata:
     """Kernel eigendata from a computed decomposition; needs mu_1 > 0."""
-    if dec.potential is None:
-        raise InvalidInput("decomposition must carry its potential for tail bounds")
     n = dec.resolved_count if count is None else min(count, dec.resolved_count)
     if n < 1:
         raise InsufficientResolution("no certified eigenvalues available")
@@ -272,8 +270,8 @@ class ScanReport:
     grid_shape: tuple[int, int, int] = (0, 0, 0)
 
 
-def sup_scan(data: KernelEigendata, rho_max: float = 50.0, n_rho: int = 200,
-             n_theta: int = 64, tol: float = DEFAULT_TOL) -> ScanReport:
+def sup_scan(data: KernelEigendata, rho_max: float, n_rho: int, n_theta: int,
+             tol: float = DEFAULT_TOL) -> ScanReport:
     """Max |K| over a (rho, theta, theta') product grid with window trend.
 
     The trend records the running max over increasing rho windows: a bounded
@@ -312,16 +310,6 @@ def sup_scan(data: KernelEigendata, rho_max: float = 50.0, n_rho: int = 200,
 # -- tail comparison against the constant-circulation kernel ----------------------
 
 
-def _gauge_stripped_psi(data: KernelEigendata, theta: np.ndarray) -> np.ndarray:
-    """sqrt(2 pi) e^{i(floor(circ + 1/2) theta + int_0^theta A)} psi_k(theta)."""
-    p = data.potential
-    if p is None:
-        raise InvalidInput("tail comparison needs Galerkin eigendata with a potential")
-    th = np.asarray(theta, dtype=float)
-    gauge = np.exp(1j * (p.circulation_floor * th + p.integral_A(th)))
-    return math.sqrt(2.0 * math.pi) * data.psi_values(th) * gauge[None, :]
-
-
 @dataclass(frozen=True)
 class DifferenceRow:
     ell: int
@@ -349,12 +337,12 @@ def difference_ells(ells, rho_max: float) -> tuple[list[int], int]:
     return ells, j_max
 
 
-def difference_scan(dec: SpectralDecomposition, p: AngularPotential,
-                    ells=(4, 8, 16), rho_max: float = 50.0) -> DifferenceReport:
+def difference_scan(dec: SpectralDecomposition, ells, rho_max: float) -> DifferenceReport:
     """D(ell) = max over the grid of |Sigma_{|j|>=ell} - e^{i Abar dtheta} Sigma^{ab}_{|j|>=ell}|.
 
-    Sigma is the gauge-stripped tail of the full kernel paired by signed mode
-    index; Sigma^{ab} the constant-circulation comparison with alpha = Abar.
+    Sigma is the gauge-stripped tail (each mode times sqrt(2 pi)
+    `AngularPotential.gauge`) of the full kernel paired by signed mode index;
+    Sigma^{ab} the constant-circulation comparison with alpha = Abar.
     Both tails stop at the same |j| <= j_max.  Each pair adds two rows to one
     mode sum: its gauge-stripped mode, and its model mode e^{i(j+Abar)theta}
     with negated weight.  Bands of |j| are added from the top down, so D(ell)
@@ -362,14 +350,15 @@ def difference_scan(dec: SpectralDecomposition, p: AngularPotential,
     """
     ells, j_max = difference_ells(ells, rho_max)
     data = from_spectrum(dec)
+    p = dec.potential
     ab = p.reduced_circulation
-    pairs = pair_modes(dec, p, [j for j in range(-j_max, j_max + 1) if abs(j) >= ells[0]])
+    pairs = pair_modes(dec, [j for j in range(-j_max, j_max + 1) if abs(j) >= ells[0]])
     if max(pr.k for pr in pairs) >= data.count:
         raise InsufficientResolution("increase Galerkin size: tail modes unresolved")
 
     rho = np.linspace(0.0, rho_max, DIFFERENCE_N_RHO)
     th = theta_grid(DIFFERENCE_N_THETA)
-    chi = _gauge_stripped_psi(data, th)          # (count, n_theta)
+    chi = math.sqrt(2.0 * math.pi) * data.psi_values(th) * p.gauge(th)[None, :]
     k = np.array([pr.k for pr in pairs])
     j = np.array([pr.j for pr in pairs])
     # rows 2i and 2i + 1: pair i's mode and its model, whose weight is negated

@@ -127,6 +127,16 @@ class AngularPotential:
             out += c * (np.exp(1j * m * th) - 1.0) / (1j * m)
         return out.real
 
+    def gauge(self, theta) -> np.ndarray:
+        """Phase e^{i(L theta + int_0^theta A)}, L = `circulation_floor`, of the reduced frame.
+
+        For the eigenfunction psi paired with signed index j, gauge * psi is
+        near the model mode e^{i(Atil + j) theta} / sqrt(2 pi); conj(gauge)
+        carries a model mode back to the original gauge.
+        """
+        th = np.asarray(theta, dtype=float)
+        return np.exp(1j * (self.circulation_floor * th + self.integral_A(th)))
+
 
 def theta_grid(n: int) -> np.ndarray:
     if n < 4:
@@ -179,9 +189,9 @@ def build_potential(
     return AngularPotential(np.asarray(a_coeffs, complex), np.asarray(A_coeffs, complex))
 
 
-def constant_potential(a0: float = 0.0, alpha: float = 0.0) -> AngularPotential:
-    """Pair with constant fields a = a0, A = alpha (Aharonov-Bohm when a0 = 0)."""
-    return AngularPotential(np.array([a0], complex), np.array([alpha], complex))
+def constant_potential(alpha: float) -> AngularPotential:
+    """Aharonov-Bohm pair: a = 0 and constant A = alpha."""
+    return AngularPotential(np.array([0.0], complex), np.array([alpha], complex))
 
 
 def classify_resonance(p: AngularPotential) -> ResonanceClass:
@@ -200,14 +210,3 @@ def require_non_resonant(p: AngularPotential) -> None:
             f"reduced circulation {p.reduced_circulation!r} lies in the resonant set ({cls.value})"
         )
 
-
-def inverse_gauge_transform(p: AngularPotential, phi: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Map phi(theta) to e^{i Abar theta} e^{-i int_0^theta A} phi(theta).
-
-    Sends eigenfunctions of the constant-circulation operator for (a, Abar)
-    back to eigenfunctions of the full angular operator for (a, A); it is a
-    pointwise phase, hence an isometry in every L^p.
-    """
-    th = np.asarray(theta, dtype=float)
-    phase = p.reduced_circulation * th - p.integral_A(th)
-    return np.exp(1j * phase) * np.asarray(phi, dtype=complex)

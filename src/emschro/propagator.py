@@ -30,6 +30,7 @@ only the angular basis with the series route.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -426,7 +427,7 @@ def evolve(data: KernelEigendata, u0: PolarField, t: float,
     return _evolve_core(_Source(data, u0), t, r_out)[0]
 
 
-def free_evolution(u0: PolarField, t: float, r_out: np.ndarray | None = None) -> PolarField:
+def free_evolution(u0: PolarField, t: float, r_out: np.ndarray | None) -> PolarField:
     """Evolution with no potential at all: the alpha = 0 closed-form eigendata.
 
     Orders beta = |m| for |m| <= (n_theta - 1) // 2, so no two modes alias on
@@ -614,10 +615,16 @@ def save_field(path, field: PolarField) -> None:
 
 
 def load_field(path) -> PolarField:
+    """Read a `save_field` snapshot; InvalidInput unless its header's dims fit the file."""
     with open(path, "rb") as fh:
         if fh.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
             raise InvalidInput(f"not a field snapshot: {path}")
-        n_r, n_theta = (int(x) for x in np.fromfile(fh, dtype="<i8", count=2))
+        dims = [int(x) for x in np.fromfile(fh, dtype="<i8", count=2)]
+        n_r, n_theta = dims if len(dims) == 2 else (-1, -1)
+        data_bytes = os.fstat(fh.fileno()).st_size - len(SNAPSHOT_MAGIC) - 24
+        if min(n_r, n_theta) < 0 or data_bytes != 8 * n_r * (1 + 2 * n_theta):
+            raise InvalidInput(f"field snapshot {path} does not match its header: "
+                               f"(n_r, n_theta) = {tuple(dims)}, {data_bytes} data bytes")
         t = float(np.fromfile(fh, dtype="<f8", count=1)[0])
         r = np.fromfile(fh, dtype="<f8", count=n_r)
         inter = np.fromfile(fh, dtype="<f8", count=2 * n_r * n_theta)

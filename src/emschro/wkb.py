@@ -16,7 +16,8 @@ Eigenvalues then solve the scalar equations
 
 and eigenfunctions are exp(-i Abar theta) exp(+i S) (plus) or
 exp(-i Abar theta) exp(-i conj(S)) (minus) with S(theta) = s theta +
-int_0^theta W, pulled back to the original gauge.
+int_0^theta W.  Pulled back to the original gauge by exp(i(Abar theta -
+int_0^theta A)), they read exp(i(S - int A)) and exp(-i(conj(S) + int A)).
 """
 
 from __future__ import annotations
@@ -28,8 +29,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoConvergence, ResonantParameter
 from .galerkin import SpectralDecomposition, _phase_fix, loglog_slope, pair_modes
-from .potentials import (AngularPotential, default_grid_size, inverse_gauge_transform,
-                         theta_grid)
+from .potentials import AngularPotential, default_grid_size, theta_grid
 
 DEFAULT_DELTA = 0.05
 FP_TOL = 1e-13
@@ -165,14 +165,13 @@ def solve_eigenvalue(p: AngularPotential, j: int, branch: str,
     sol = fixed_point(p, atil + s * s, delta=delta)
     th = theta_grid(sol.grid_n)
     S = s * th + antiderivative_samples(sol)
+    # in the original gauge; normalize and phase-fix below
     if branch == "plus":
-        phi_reduced = np.exp(-1j * ab * th) * np.exp(1j * S)
+        phi = np.exp(1j * (S - p.integral_A(th)))
         signed_j = k
     else:
-        phi_reduced = np.exp(-1j * ab * th) * np.exp(-1j * np.conj(S))
+        phi = np.exp(-1j * (np.conj(S) + p.integral_A(th)))
         signed_j = -k
-    # back to the original gauge, then normalize and phase-fix
-    phi = inverse_gauge_transform(p, phi_reduced, th)
     nrm = math.sqrt(float(np.mean(np.abs(phi) ** 2)) * 2.0 * math.pi)
     phi = phi / nrm
     coeffs = np.fft.fft(phi) / phi.size * math.sqrt(2.0 * math.pi)
@@ -216,16 +215,17 @@ class ResidualTable:
     ell_eff: int
 
 
-def asymptotic_residuals(p: AngularPotential, dec: SpectralDecomposition,
-                         j_list, grid_n: int = 2048) -> ResidualTable:
+def asymptotic_residuals(dec: SpectralDecomposition, j_list,
+                         grid_n: int = 2048) -> ResidualTable:
     """Eigenvalue and eigenfunction deviation table for the paired indices."""
+    p = dec.potential
     ab = p.reduced_circulation
     atil = p.a_mean
     js = [int(j) for j in j_list]
-    pairs = pair_modes(dec, p, js)
+    pairs = pair_modes(dec, js)
     th = theta_grid(grid_n)
     psi_all = dec.eigenfunctions_on_grid(grid_n)
-    gauge = np.exp(1j * (p.circulation_floor * th + p.integral_A(th)))
+    gauge = p.gauge(th)
     rows = []
     for pr in pairs:
         mu = float(dec.eigenvalues[pr.k])

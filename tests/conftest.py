@@ -30,7 +30,7 @@ def p_even_electric():
 
 @pytest.fixture(scope="session")
 def p_ab():
-    return constant_potential(0.0, 0.3)
+    return constant_potential(0.3)
 
 
 @pytest.fixture(scope="session")

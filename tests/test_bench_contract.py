@@ -39,6 +39,6 @@ def test_probed_return_values():
     from emschro import galerkin, kernel
     from emschro.potentials import constant_potential
 
-    dec = galerkin.compute_spectrum(constant_potential(0.0, 0.3), 8)
+    dec = galerkin.compute_spectrum(constant_potential(0.3), 8)
     assert isinstance(dec.M, int) and isinstance(dec.resolved_count, int)
     assert isinstance(kernel.cutoff_index(kernel.ab_eigendata(0.3, 24), 1.0, 1e-9), int)

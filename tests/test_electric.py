@@ -71,23 +71,23 @@ def test_symmetry_guards(p_cos):
         even_cosine_coefficients(p_odd)  # sin(theta) is odd
 
 
-def test_first_gap_matches_characteristic_values(p_even_electric, dec_even):
-    st = splitting_table(p_even_electric, dec_even, [1])
+def test_first_gap_matches_characteristic_values(dec_even):
+    st = splitting_table(dec_even, [1])
     row = st.rows[0]
     assert row.splitting == pytest.approx(MATHIEU_FIRST_GAP, abs=1e-8)
     assert row.predicted_splitting == pytest.approx(2.0, abs=1e-14)
     assert row.lam_cosine > row.lam_sine
 
 
-def test_predicted_splitting_vanishes_beyond_bandwidth(p_even_electric, dec_even):
-    st = splitting_table(p_even_electric, dec_even, range(2, 12))
+def test_predicted_splitting_vanishes_beyond_bandwidth(dec_even):
+    st = splitting_table(dec_even, range(2, 12))
     for row in st.rows:
         assert row.predicted_splitting == 0.0
         assert row.match_residual < 1e-9  # two routes to the same eigenvalue
 
 
-def test_splitting_decays_at_high_index(p_even_electric, dec_even):
-    st = splitting_table(p_even_electric, dec_even, range(4, 25))
+def test_splitting_decays_at_high_index(dec_even):
+    st = splitting_table(dec_even, range(4, 25))
     gaps = np.array([abs(r.splitting) for r in st.rows])
     assert np.all(gaps < 1e-3)
     assert gaps[-1] < gaps[0]
@@ -101,10 +101,10 @@ def test_solve_pair_residual_and_shift(p_even_electric):
 
 
 def test_splitting_table_refuses_a_pair_that_misses_the_operator(
-        p_even_electric, dec_even, monkeypatch):
+        dec_even, monkeypatch):
     monkeypatch.setattr(electric, "_operator_residual", lambda *args: 1e-6)
     with pytest.raises(NoConvergence):
-        splitting_table(p_even_electric, dec_even, [1])
+        splitting_table(dec_even, [1])
 
 
 def test_solve_pair_validation(p_even_electric):
@@ -114,19 +114,18 @@ def test_solve_pair_validation(p_even_electric):
         solve_pair(p_even_electric, 3, "even")
 
 
-def test_half_integer_pairs_cluster(p_even_electric):
+def test_half_integer_pairs_cluster():
     p_half = build_potential(a_coeffs=[1.0, 0.0, 0.0, 0.0, 1.0], A_coeffs=[0.5])
-    dec = compute_spectrum(p_half, 96)
-    table = half_integer_table(p_half, dec, range(4, 25))
+    table = half_integer_table(compute_spectrum(p_half, 96), range(4, 25))
     for r in table.rows:
         assert r.predicted == pytest.approx((r.j - 0.5) ** 2, abs=1e-12)
         assert abs(r.mu_pair[0] - r.mu_pair[1]) < 2.0 * r.residual + 1e-12
     assert table.slope < -1.0
 
 
-def test_half_integer_requires_half_circulation(p_cos, dec_cos64):
+def test_half_integer_requires_half_circulation(dec_cos64):
     with pytest.raises(InvalidInput):
-        half_integer_table(p_cos, dec_cos64, [4, 5])
+        half_integer_table(dec_cos64, [4, 5])
 
 
 def test_doubling_identity(p_even_electric):

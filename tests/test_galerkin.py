@@ -24,7 +24,7 @@ from emschro.potentials import build_potential, constant_potential, theta_grid
 
 @pytest.mark.parametrize("alpha", [0.3, -0.25, 0.5])
 def test_flux_line_spectrum_is_exact(alpha):
-    dec = compute_spectrum(constant_potential(0.0, alpha), 48)
+    dec = compute_spectrum(constant_potential(alpha), 48)
     k = np.arange(-48, 49)
     assert np.allclose(np.sort(dec.eigenvalues), np.sort((k + alpha) ** 2),
                        atol=1e-11)
@@ -157,18 +157,18 @@ def test_spectrum_rows_shape(dec_cos64):
     assert list(mus) == sorted(mus)
 
 
-def test_cluster_check_two_per_ball(dec_cos64, p_cos):
-    rep = cluster_check(dec_cos64, p_cos, 10, 28)
+def test_cluster_check_two_per_ball(dec_cos64):
+    rep = cluster_check(dec_cos64, 10, 28)
     assert rep.passed and rep.disjoint
     assert all(r.count == 2 for r in rep.rows)
     assert rep.smallest_c >= 0.0
 
 
-def test_cluster_check_validates_range(dec_cos64, p_cos):
+def test_cluster_check_validates_range(dec_cos64):
     with pytest.raises(InvalidInput):
-        cluster_check(dec_cos64, p_cos, 10, 10)
+        cluster_check(dec_cos64, 10, 10)
     with pytest.raises(InvalidInput):
-        cluster_check(dec_cos64, p_cos, 0, 12)
+        cluster_check(dec_cos64, 0, 12)
 
 
 def test_subspace_angle_extremes(rng):

@@ -58,7 +58,7 @@ def test_kernel_value_is_the_grid_sum_at_one_point():
 def test_flux_line_routes_agree():
     """Closed-form eigendata versus the generic route through the dense solver."""
     data_ab = ab_eigendata(0.3, 24)
-    dec = compute_spectrum(constant_potential(0.0, 0.3), 48)
+    dec = compute_spectrum(constant_potential(0.3), 48)
     data_gal = from_spectrum(dec, count=49)
     b1 = np.sort(data_ab.beta[:30])
     b2 = np.sort(data_gal.beta[:30])
@@ -184,18 +184,18 @@ def small_gap_grid(monkeypatch):
 @pytest.fixture(scope="module")
 def gap_case():
     p = build_potential(a_coeffs=[0.1, 0.0, 0.1], A_coeffs=[0.3])
-    return compute_spectrum(p, 48), p
+    return compute_spectrum(p, 48)
 
 
-def _gap_per_ell(dec, p, ells):
+def _gap_per_ell(dec, ells):
     """(ell, D(ell), terms) by re-summing every pair's term once per ell."""
     data = from_spectrum(dec)
-    ab = p.reduced_circulation
+    ab = dec.potential.reduced_circulation
     j_max = int(np.e * GAP_RHO_MAX / 2.0) + 24
-    pairs = pair_modes(dec, p, [j for j in range(-j_max, j_max + 1) if abs(j) >= min(ells)])
+    pairs = pair_modes(dec, [j for j in range(-j_max, j_max + 1) if abs(j) >= min(ells)])
     rho = np.linspace(0.0, GAP_RHO_MAX, kernel.DIFFERENCE_N_RHO)
     th = 2.0 * np.pi * np.arange(kernel.DIFFERENCE_N_THETA) / kernel.DIFFERENCE_N_THETA
-    chi = kernel._gauge_stripped_psi(data, th)
+    chi = np.sqrt(2.0 * np.pi) * data.psi_values(th) * dec.potential.gauge(th)
     dth = th[:, None] - th[None, :]
     out = []
     for ell in ells:
@@ -216,11 +216,11 @@ def _gap_per_ell(dec, p, ells):
 
 
 def test_gap_scan_matches_the_per_ell_sum(small_gap_grid, gap_case):
-    dec, p = gap_case
+    dec = gap_case
     ells = (2, 5, 9, 13)
-    rep = difference_scan(dec, p, ells=(9, 2, 13, 5), rho_max=GAP_RHO_MAX)
+    rep = difference_scan(dec, ells=(9, 2, 13, 5), rho_max=GAP_RHO_MAX)
     assert [r.ell for r in rep.rows] == list(ells)
-    for row, (ell, ref, terms) in zip(rep.rows, _gap_per_ell(dec, p, ells)):
+    for row, (ell, ref, terms) in zip(rep.rows, _gap_per_ell(dec, ells)):
         assert row.terms == terms == 2 * (29 - ell + 1)
         assert abs(row.max_abs - ref) <= 1e-12 * ref
     assert rep.decreasing
@@ -229,7 +229,6 @@ def test_gap_scan_matches_the_per_ell_sum(small_gap_grid, gap_case):
 
 
 def test_gap_scan_evaluates_each_tail_term_once(small_gap_grid, gap_case, monkeypatch):
-    dec, p = gap_case
     calls = []
     real = bessel.j_grid
 
@@ -238,14 +237,39 @@ def test_gap_scan_evaluates_each_tail_term_once(small_gap_grid, gap_case, monkey
         return real(nu, r)
 
     monkeypatch.setattr(bessel, "j_grid", spy)
-    rep = difference_scan(dec, p, ells=(4, 8, 16), rho_max=GAP_RHO_MAX)
+    rep = difference_scan(gap_case, ells=(4, 8, 16), rho_max=GAP_RHO_MAX)
     pairs = rep.rows[0].terms      # the smallest ell counts every pair
     assert len(calls) == 2 * pairs
 
 
 @pytest.mark.parametrize("ells", [(), (0, 4), (4, 30)])
 def test_gap_scan_refuses_ells_outside_the_paired_range(small_gap_grid, gap_case, ells):
-    dec, p = gap_case
     with pytest.raises(InvalidInput):
-        difference_scan(dec, p, ells=ells, rho_max=GAP_RHO_MAX)
+        difference_scan(gap_case, ells=ells, rho_max=GAP_RHO_MAX)
 
+
+
+def test_gap_scan_cutoff_drops_a_hundredth_of_the_tolerance():
+    """Orders past `difference_ells`' j_max add majorants below DEFAULT_TOL / 100.
+
+    Past j_max the orders |j + Abar| are at least nu = j_max + 1/2, j_max + 3/2,
+    ..., once per sign of j; each majorant grows with rho, so rho_max is the
+    worst rho, and the sum is worst just below each step of j_max.  Past
+    nu > e rho / 2 the terms fall by q = rho / (2 (nu + 1)) < 1/e per step, so
+    the sum stops on a geometric remainder bound.
+    """
+    steps = 2.0 * np.arange(1, int(np.e * 5000.0 / 2.0) + 1) / np.e * (1.0 - 1e-12)
+    worst = 0.0
+    for rho_max in [0.5, *steps[steps >= 0.5], 5000.0]:
+        _, j_max = kernel.difference_ells([1], rho_max)
+        total, nu = 0.0, j_max + 0.5
+        while True:
+            term = bessel.term_tail_bound(nu, rho_max)
+            q = rho_max / (2.0 * (nu + 1.0))
+            total += term
+            if term * q / (1.0 - q) <= 1e-3 * total:
+                total += term * q / (1.0 - q)
+                break
+            nu += 1.0
+        worst = max(worst, 2.0 * total)
+    assert worst < kernel.DEFAULT_TOL / 100.0

@@ -12,7 +12,6 @@ from emschro.potentials import (
     classify_resonance,
     coeffs_from_samples,
     constant_potential,
-    inverse_gauge_transform,
     require_non_resonant,
     theta_grid,
 )
@@ -66,7 +65,7 @@ def test_build_rejects_complex_valued_fields():
 def test_circulation_reduction():
     for alpha, red, floor in [(0.3, 0.3, 0), (1.3, 0.3, 1), (-0.25, -0.25, 0),
                               (0.5, -0.5, 1), (-0.5, -0.5, 0), (2.0, 0.0, 2)]:
-        p = constant_potential(0.0, alpha)
+        p = constant_potential(alpha)
         assert p.circulation == pytest.approx(alpha, abs=1e-14)
         assert p.reduced_circulation == pytest.approx(red, abs=1e-14)
         assert p.circulation_floor == floor
@@ -74,16 +73,16 @@ def test_circulation_reduction():
 
 
 def test_resonance_classes():
-    assert classify_resonance(constant_potential(0.0, 0.3)) is ResonanceClass.NON_RESONANT
-    assert classify_resonance(constant_potential(0.0, 0.0)) is ResonanceClass.INTEGER
-    assert classify_resonance(constant_potential(0.0, 2.0)) is ResonanceClass.INTEGER
-    assert classify_resonance(constant_potential(0.0, 0.5)) is ResonanceClass.HALF_INTEGER
-    assert classify_resonance(constant_potential(0.0, -0.5)) is ResonanceClass.HALF_INTEGER
+    assert classify_resonance(constant_potential(0.3)) is ResonanceClass.NON_RESONANT
+    assert classify_resonance(constant_potential(0.0)) is ResonanceClass.INTEGER
+    assert classify_resonance(constant_potential(2.0)) is ResonanceClass.INTEGER
+    assert classify_resonance(constant_potential(0.5)) is ResonanceClass.HALF_INTEGER
+    assert classify_resonance(constant_potential(-0.5)) is ResonanceClass.HALF_INTEGER
     # tolerance window around the resonant set
-    assert classify_resonance(constant_potential(0.0, 1e-10)) is ResonanceClass.INTEGER
-    assert classify_resonance(constant_potential(0.0, 1e-8)) is ResonanceClass.NON_RESONANT
+    assert classify_resonance(constant_potential(1e-10)) is ResonanceClass.INTEGER
+    assert classify_resonance(constant_potential(1e-8)) is ResonanceClass.NON_RESONANT
     with pytest.raises(ResonantParameter):
-        require_non_resonant(constant_potential(0.0, 1.0))
+        require_non_resonant(constant_potential(1.0))
 
 
 def test_integral_of_A_endpoints(p_mixed):
@@ -101,20 +100,32 @@ def test_integral_of_A_derivative(p_mixed):
 
 
 def test_gauge_transform_round_trip_and_isometry(p_mixed, rng):
+    # circulation 2.3, so the frame's floor L = 2 enters
+    p = build_potential(a_coeffs=p_mixed.a_coeffs, A_coeffs=p_mixed.A_coeffs + [0.0, 2.0, 0.0])
+    assert p.circulation_floor == 2
     th = theta_grid(512)
+    g = p.gauge(th)
     phi = rng.standard_normal(512) + 1j * rng.standard_normal(512)
-    # forward map e^{-i Abar theta} e^{i int_0^theta A}, written out here
-    out = np.exp(1j * (p_mixed.integral_A(th) - p_mixed.reduced_circulation * th)) * phi
-    back = inverse_gauge_transform(p_mixed, out, th)
-    assert np.allclose(back, phi, atol=1e-12)
-    assert np.allclose(np.abs(out), np.abs(phi), atol=1e-12)
+    assert np.allclose(np.conj(g) * (g * phi), phi, atol=1e-12)
+    assert np.allclose(np.abs(g), 1.0, atol=1e-14)
+    # log-derivative i (L + A)
+    dense = theta_grid(4096)
+    dphase = np.gradient(np.unwrap(np.angle(p.gauge(dense))), dense)
+    assert np.allclose(dphase[2:-2], 2.0 + p.A_values(dense)[2:-2], atol=1e-5)
+    # on a flux line it takes the mode e^{i(j - L) theta} of eigenvalue (j + Abar)^2
+    # exactly to the model mode e^{i(Atil + j) theta}
+    flux = constant_potential(2.3)
+    for j in (-4, 0, 3):
+        mode = np.exp(1j * (j - 2) * th)
+        assert np.allclose(flux.gauge(th) * mode, np.exp(1j * (2.3 + j) * th), atol=1e-12)
+        assert (j - 2 + 2.3) ** 2 == pytest.approx((j + flux.reduced_circulation) ** 2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(alpha=st.floats(-3.0, 3.0, allow_nan=False), shift=st.integers(-3, 3))
 def test_reduced_circulation_is_shift_invariant(alpha, shift):
-    p1 = constant_potential(0.0, alpha)
-    p2 = constant_potential(0.0, alpha + shift)
+    p1 = constant_potential(alpha)
+    p2 = constant_potential(alpha + shift)
     assert p2.reduced_circulation == pytest.approx(p1.reduced_circulation, abs=1e-12)
 
 

@@ -88,6 +88,22 @@ def test_snapshot_round_trip(tmp_path, ring_m1):
     assert np.array_equal(back.values, moved.values)
 
 
+def test_load_field_refuses_a_header_that_disagrees_with_the_file(tmp_path, ring_m1):
+    path = tmp_path / "field.bin"
+    save_field(str(path), ring_m1)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-8])                      # truncated snapshot
+    with pytest.raises(InvalidInput):
+        load_field(str(path))
+    header = propagator.SNAPSHOT_MAGIC + np.array([10 ** 12, 64], dtype="<i8").tobytes()
+    path.write_bytes(header + whole[len(header):])    # n_r = 1e12: 7.3 TiB of radii alone
+    with pytest.raises(InvalidInput):
+        load_field(str(path))
+    path.write_bytes(whole[:12])                      # header cut inside the dims
+    with pytest.raises(InvalidInput):
+        load_field(str(path))
+
+
 def test_radial_bandwidth_of_ring(ring_m1):
     k = radial_bandwidth(ring_m1)
     assert 4.0 < k < 6.0  # unit-width Gaussian ring, measured 4.89

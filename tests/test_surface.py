@@ -9,11 +9,14 @@ Three audits, none of which count text in docstrings or comments:
   `emschro.__all__` is annotated to return the class (its fields are then
   public results);
 - every defaulted function parameter is passed, by keyword or position, at
-  some call in `src/`, `tests/`, `scripts/` or `perfbench/`.
+  some call in `src/`, `tests/`, `scripts/` or `perfbench/`, and omitted at
+  another;
+- no function takes both a `SpectralDecomposition` and an `AngularPotential`:
+  a decomposition carries the potential it was computed from.
 
 Definitions whose only callers are tests belong in the tests, or in
 `emschro.__all__`; a field nothing reads, or a parameter nothing sets, is
-one to delete.
+one to delete; a default every call overrides is one to make required.
 """
 
 import ast
@@ -224,18 +227,16 @@ def test_the_audit_sees_a_field_nobody_reads():
 # -- defaulted parameters --------------------------------------------------------
 
 
-def _unset_defaults(src: dict[str, ast.Module], callers: dict[str, ast.Module]) -> list[str]:
-    """`module.function(param)` for every defaulted parameter no call in `callers` passes.
+def _defaulted_calls(src: dict[str, ast.Module], callers: dict[str, ast.Module]):
+    """(`module.function(param)`, position or None, param, calls) per defaulted parameter.
 
-    Calls are matched by the function's name (a class name for `__init__`);
-    a call with `*args` or `**kwargs` counts as passing everything.
+    Calls are matched by the function's name (a class name for `__init__`).
     """
     calls: dict[str, list[ast.Call]] = {}
     for tree in callers.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _named(node.func):
                 calls.setdefault(_named(node.func), []).append(node)
-    out = []
     for mod, tree in src.items():
         methods = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
                    for f in c.body if isinstance(f, ast.FunctionDef)}
@@ -257,18 +258,51 @@ def _unset_defaults(src: dict[str, ast.Module], callers: dict[str, ast.Module]) 
             defaulted += [(None, arg.arg) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
                           if d is not None]
             for pos, param in defaulted:
-                if not any(
-                        any(isinstance(x, ast.Starred) for x in c.args)
-                        or (pos is not None and len(c.args) > pos)
-                        or any(k.arg in (param, None) for k in c.keywords)
-                        for c in calls.get(name, [])):
-                    out.append(f"{qual}({param})")
-    return sorted(out)
+                yield f"{qual}({param})", pos, param, calls.get(name, [])
+
+
+def _starred(c: ast.Call) -> bool:
+    return (any(isinstance(x, ast.Starred) for x in c.args)
+            or any(k.arg is None for k in c.keywords))
+
+
+def _passes(c: ast.Call, pos: int | None, param: str) -> bool:
+    """Whether `c` names `param` by keyword or fills its position with a plain argument."""
+    if any(k.arg == param for k in c.keywords):
+        return True
+    return (pos is not None and len(c.args) > pos
+            and not any(isinstance(x, ast.Starred) for x in c.args[:pos + 1]))
+
+
+def _unset_defaults(src: dict[str, ast.Module], callers: dict[str, ast.Module]) -> list[str]:
+    """Every defaulted parameter no call in `callers` passes.
+
+    A call with `*args` or `**kwargs` counts as passing everything.
+    """
+    return sorted(q for q, pos, param, calls in _defaulted_calls(src, callers)
+                  if not any(_starred(c) or _passes(c, pos, param) for c in calls))
+
+
+def _always_set_defaults(src: dict[str, ast.Module],
+                         callers: dict[str, ast.Module]) -> list[str]:
+    """Every defaulted parameter that each of its (one or more) calls passes explicitly.
+
+    A call with `*args` or `**kwargs` may omit it, so it keeps the default.
+    """
+    return sorted(q for q, pos, param, calls in _defaulted_calls(src, callers)
+                  if calls and all(_passes(c, pos, param) for c in calls))
+
+
+def _callers() -> dict[str, ast.Module]:
+    return _trees(*(ROOT / d for d in ("src", "tests", "scripts", "perfbench")))
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
-    callers = _trees(*(ROOT / d for d in ("src", "tests", "scripts", "perfbench")))
-    assert _unset_defaults(_package_trees(), callers) == []
+    assert _unset_defaults(_package_trees(), _callers()) == []
+
+
+def test_no_default_is_passed_by_every_call():
+    assert _always_set_defaults(_package_trees(), _callers()) == []
 
 
 def test_the_audit_sees_a_default_nobody_sets():
@@ -279,3 +313,61 @@ def test_the_audit_sees_a_default_nobody_sets():
     callers = {**src, "t": ast.parse(
         "f(0, 1)\nf(0, by_kw=5)\nC(1).g()\n")}
     assert _unset_defaults(src, callers) == ["m.C.g(b)", "m.f(kw_only)", "m.f(never)"]
+
+
+def test_the_audit_sees_a_default_every_call_sets():
+    src = {"m": ast.parse(
+        "def f(x, by_pos=1, by_kw=2, *, kw_only=4):\n    return x\n\n"
+        "def h(always=0, starred=0):\n    return always\n\n"
+        "class C:\n    def __init__(self, a=0):\n        self.a = a\n"
+        "    def g(self, b=0):\n        return b\n")}
+    callers = {**src, "t": ast.parse(
+        "f(0, 1, 2)\nf(0, by_pos=1, kw_only=5)\nC(1)\nC(a=2)\n"
+        "h(1, 2)\nh(always=3, **{})\nh(1, *[2])\n")}
+    # C.g has no call; f(by_kw), f(kw_only) and h(starred) each have a call
+    # that omits them or may omit them
+    assert _always_set_defaults(src, callers) == ["m.C.__init__(a)", "m.f(by_pos)",
+                                                  "m.h(always)"]
+
+
+# -- one carrier for the potential -------------------------------------------------
+
+
+def _annotated_names(ann) -> set[str]:
+    """Names in an annotation, string and `X | None` forms included."""
+    if ann is None:
+        return set()
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    return {n.id for n in ast.walk(ann) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(ann) if isinstance(n, ast.Attribute)}
+
+
+def _split_carriers(trees: dict[str, ast.Module]) -> list[str]:
+    """`module.function` for every function annotating one parameter
+    `SpectralDecomposition` and another `AngularPotential`."""
+    out = []
+    for mod, tree in trees.items():
+        for f in ast.walk(tree):
+            if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = f.args
+            params = [_annotated_names(x.annotation)
+                      for x in a.posonlyargs + a.args + a.kwonlyargs]
+            if (any("SpectralDecomposition" in n for n in params)
+                    and any("AngularPotential" in n for n in params)):
+                out.append(f"{mod}.{f.name}")
+    return sorted(out)
+
+
+def test_no_function_takes_a_decomposition_and_its_potential_apart():
+    assert _split_carriers(_package_trees()) == []
+
+
+def test_the_audit_sees_a_potential_passed_beside_its_decomposition():
+    trees = {"m": ast.parse(
+        "def split(dec: SpectralDecomposition, p: 'AngularPotential | None'):\n"
+        "    return dec\n\n"
+        "def carried(dec: galerkin.SpectralDecomposition, j: int):\n    return dec\n\n"
+        "def potential_only(p: AngularPotential, q: AngularPotential):\n    return p\n")}
+    assert _split_carriers(trees) == ["m.split"]

@@ -92,8 +92,8 @@ def test_resonant_circulation_is_rejected():
         solve_eigenvalue(p_int, 8, "plus")
 
 
-def test_residual_table_frozen_ranges(p_cos, dec_cos64):
-    table = asymptotic_residuals(p_cos, dec_cos64, range(8, 25))
+def test_residual_table_frozen_ranges(dec_cos64):
+    table = asymptotic_residuals(dec_cos64, range(8, 25))
     scaled_eig = np.array([r.scaled_eig for r in table.rows])
     linear_sup = np.array([r.j * r.sup_R for r in table.rows])
     assert scaled_eig.min() > 0.10 and scaled_eig.max() < 0.14
@@ -104,8 +104,8 @@ def test_residual_table_frozen_ranges(p_cos, dec_cos64):
     assert 1 <= table.ell_eff <= 8
 
 
-def test_residual_table_overlap_is_near_unity(p_mixed, dec_mixed64):
-    table = asymptotic_residuals(p_mixed, dec_mixed64, range(8, 17))
+def test_residual_table_overlap_is_near_unity(dec_mixed64):
+    table = asymptotic_residuals(dec_mixed64, range(8, 17))
     for r in table.rows:
         assert r.overlap > 0.999
 
@@ -119,7 +119,7 @@ def test_discover_lambda_eff_contracts(p_cos):
 
 
 def test_flux_line_correction_vanishes():
-    p = constant_potential(0.0, 0.3)
+    p = constant_potential(0.3)
     sol = fixed_point(p, 80.0)
     assert np.max(np.abs(_samples(sol))) < 1e-13
     pair = solve_eigenvalue(p, 9, "plus")
