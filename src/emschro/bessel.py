@@ -1,30 +1,32 @@
 """Bessel J evaluation for real nonnegative order: one vectorized surface.
 
-`j_grid` is the only J_nu evaluator.  It splits the radii into four regimes:
+`j_grid` is the only J_nu evaluator.  Where it switches depends on nu alone:
 
-- an ascending power series for x <= max(12, nu/2), where the series is
-  absolutely convergent with bounded cancellation;
-- a per-order table on [TABLE_X_LO, `asymptotic_switch_radius(nu)`): pieces
-  of width TABLE_WIDTH, each a degree-TABLE_DEGREE polynomial evaluated by
-  Horner's rule.  Its node values come from Bessel's integral (Watson, sec.
-  6.2) summed by Gauss-Legendre quadrature, and at build time every piece is
-  checked at one off-node point against that integral; an order that misses
-  keeps the series/scipy route.  A call uses the table only when at least
-  TABLE_MIN_VALUES of its radii fall in that range, and then the series
-  serves only x < TABLE_X_LO.  The rule reads nu and the count alone, so a
-  value never depends on which tables are cached;
+- an ascending power series for x < `series_switch_radius(nu)`: TABLE_X_LO
+  for the orders Hankel's expansion serves (nu < 2K + 1/2), where every term
+  is smaller than the one before, and nu/2 for higher orders, where the
+  series cancels little;
+- the middle range [`series_switch_radius(nu)`, `asymptotic_switch_radius(nu)`),
+  served by one of two evaluators.  A call with at least TABLE_MIN_VALUES
+  radii there uses a per-order table: pieces of width TABLE_WIDTH, each a
+  degree-TABLE_DEGREE polynomial evaluated by Horner's rule.  Its node values
+  come from Bessel's integral (Watson, sec. 6.2) summed by Gauss-Legendre
+  quadrature, and at build time every piece is checked at one off-node point
+  against that integral.  A smaller call, an order that misses that check,
+  and every order from 2K + 1/2 on (where the range is unbounded) get scipy's
+  Amos backend instead.  The choice reads nu and the count alone, so a value
+  never depends on which tables are cached;
 - Hankel's asymptotic expansion J_nu(x) = sqrt(2/(pi x)) [P cos w - Q sin w],
   w = x - nu pi/2 - pi/4, with ASYMPTOTIC_PAIRS term pairs of P and Q, for
-  x >= `asymptotic_switch_radius(nu)`;
-- scipy's Amos backend between the series and the expansion when the table
-  does not serve, and for every x past the series when nu >= 2K + 1/2.
+  x >= `asymptotic_switch_radius(nu)`.
 
 For real nu and 2K > nu - 1/2, the remainders of P and Q after K terms each
 are smaller than their first omitted terms (Watson, A Treatise on the Theory
 of Bessel Functions, sec. 7.32).  The switch is where both omitted terms are
 at most 2^-53, so the truncation is certified, not tuned.  Against 30-digit
-mpmath references every regime stays below 2e-12 absolute error, and the
-table below 1e-14 (tests/test_bessel.py checks this across the switches).
+mpmath references every regime stays below 2e-12 absolute error, and both
+middle evaluators below 2e-14 on [2, 12] (tests/test_bessel.py checks this
+across the switches).
 The tail majorant (rho/2)^nu / Gamma(nu+1) (valid for every real rho >= 0 and
 nu >= 0) is what kernel truncation uses.
 """
@@ -40,7 +42,6 @@ from scipy.special import jv as _scipy_jv
 
 from .errors import InvalidInput, NoConvergence, UnsupportedOrder
 
-SERIES_SWITCH_FLOOR = 12.0
 ASYMPTOTIC_PAIRS = 8            # K: term pairs of P and Q in Hankel's expansion
 # Half-integer orders make Watson's radius 0; from x = 20 on, no term of P or
 # Q exceeds 55 for any order the expansion serves, so rounding stays a few ulps.
@@ -72,7 +73,8 @@ def _check_order(nu) -> float:
 
 
 def series_switch_radius(nu: float) -> float:
-    return max(SERIES_SWITCH_FLOOR, nu / 2.0)
+    """Radius below which `j_grid` sums the power series: TABLE_X_LO, or nu/2 past 2K + 1/2."""
+    return TABLE_X_LO if 2 * ASYMPTOTIC_PAIRS > nu - 0.5 else nu / 2.0
 
 
 def _hankel_coefficients(nu: float, n: int) -> list[float]:
@@ -88,13 +90,13 @@ def asymptotic_switch_radius(nu: float) -> float:
     """Smallest x from which `j_grid` uses Hankel's expansion; inf where Watson's bound fails.
 
     Both omitted terms |a_2K| / x^2K and |a_2K+1| / x^(2K+1) are <= 2^-53 from
-    here on.  Never below `series_switch_radius` or ASYMPTOTIC_SWITCH_FLOOR.
+    here on.  Never below ASYMPTOTIC_SWITCH_FLOOR.
     """
     nuf = _check_order(nu)
     n = 2 * ASYMPTOTIC_PAIRS
     if n <= nuf - 0.5:
         return math.inf
-    radius = max(series_switch_radius(nuf), ASYMPTOTIC_SWITCH_FLOOR)
+    radius = ASYMPTOTIC_SWITCH_FLOOR
     for k, a in enumerate(_hankel_coefficients(nuf, n + 2)[n:], start=n):
         if a != 0.0:
             # (1 + 1e-12) absorbs the rounding of the root
@@ -104,31 +106,28 @@ def asymptotic_switch_radius(nu: float) -> float:
 
 
 def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
-    """J_nu at every radius of an array: series, table or scipy, then Hankel's expansion."""
+    """J_nu at every radius of an array: series, then table or scipy, then Hankel's expansion."""
     nuf = _check_order(nu)
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0):
         raise InvalidInput("arguments must be nonnegative")
-    out = np.empty(rr.shape, dtype=float)
+    out = np.full(rr.shape, np.nan)   # no regime claims a NaN radius
     flat_r, flat_out = rr.reshape(-1), out.reshape(-1)
-    cut = asymptotic_switch_radius(nuf)
-    mask = (flat_r >= TABLE_X_LO) & (flat_r < cut)
+    lo, cut = series_switch_radius(nuf), asymptotic_switch_radius(nuf)
+    # one mask at a time bounds memory
+    mask = flat_r < lo
+    if np.any(mask):
+        flat_out[mask] = _series_vec(nuf, flat_r[mask])
+    np.greater_equal(flat_r, lo, out=mask)
+    mask &= flat_r < cut
     table = _table(nuf) if np.count_nonzero(mask) >= TABLE_MIN_VALUES else None
-    # the asymptotic radius exceeds the series one; one mask at a time bounds memory
-    large = np.flatnonzero(flat_r >= cut)
     if table is not None:
         _by_blocks(functools.partial(_table_values, table), flat_r, flat_out,
                    np.flatnonzero(mask))
-        np.less(flat_r, TABLE_X_LO, out=mask)
-    else:
-        np.less_equal(flat_r, series_switch_radius(nuf), out=mask)
-    if np.any(mask):
-        flat_out[mask] = _series_vec(nuf, flat_r[mask])
-    if table is None:
-        mask = np.logical_not(mask, out=mask)
-        mask[large] = False
-        if np.any(mask):
-            flat_out[mask] = _scipy_jv(nuf, flat_r[mask])
+    elif np.any(mask):
+        flat_out[mask] = _scipy_jv(nuf, flat_r[mask])
+    np.greater_equal(flat_r, cut, out=mask)
+    large = np.flatnonzero(mask)
     del mask
     if large.size:
         a = _hankel_coefficients(nuf, 2 * ASYMPTOTIC_PAIRS)

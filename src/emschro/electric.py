@@ -52,24 +52,18 @@ def splitting_prediction(p: AngularPotential, k: int) -> float:
     return float(ac[2 * k]) if 2 * k <= p.a_bandwidth else 0.0
 
 
-def _ac_at(ac: np.ndarray, m: int) -> float:
-    m = abs(m)
-    return float(ac[m]) if m < ac.size else 0.0
-
-
 def explicit_corrector(ac: np.ndarray, k: int, J: int, sign: float) -> np.ndarray:
     """Sector coefficients of the first-order correction to sin(kx) (sign -1) or cos(kx) (+1).
 
     Entry j >= 1 is -(ac[|j-k|] + sign ac[j+k]) / (2 (j-k)(j+k)); the cosine
-    sector adds the constant term ac[k] / 2k^2.
+    sector adds the constant term ac[k] / 2k^2.  ac is zero-padded to at
+    least J + k + 1 entries.
     """
-    out = np.zeros(J + 1)
-    if sign > 0:
-        out[0] = _ac_at(ac, k) / (2.0 * k * k)
-    for j in range(1, J + 1):
-        if j == k:
-            continue
-        out[j] = -(_ac_at(ac, j - k) + sign * _ac_at(ac, j + k)) / (2.0 * (j - k) * (j + k))
+    j = np.arange(J + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):   # entry k, zeroed below
+        out = -(ac[np.abs(j - k)] + sign * ac[j + k]) / (2.0 * (j - k) * (j + k))
+    out[k] = 0.0
+    out[0] = ac[k] / (2.0 * k * k) if sign > 0 else 0.0
     return out
 
 
@@ -105,21 +99,25 @@ def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
     k = int(k)
     if k < 1:
         raise InvalidInput("index k must be a positive integer")
-    ac = even_cosine_coefficients(p)
     band = p.a_bandwidth
     J = k + 20 * max(band, 1) + 40
+    ac = np.pad(even_cosine_coefficients(p), (0, J + k - band))   # ac[m] = 0 past the band
     n = power_of_two_at_least(max(256, 4 * (J + band + 1)))
     x = theta_grid(n)
     a_samples = p.a_values(x).real
     atil = ac[0]
     sign = -1.0 if parity == "sine" else 1.0
-    first = sign * _ac_at(ac, 2 * k) / 2.0
+    first = sign * float(ac[2 * k]) / 2.0
 
     lead = np.zeros(J + 1)
     lead[k] = 1.0
     lead_samples = _samples(lead, n, sign)
     phi_k = explicit_corrector(ac, k, J, sign)
     phi_k_samples = _samples(phi_k, n, sign)
+
+    j = np.arange(J + 1)
+    pivot = (j - k) * (j + k)
+    pivot[k] = 1   # the lead's entry, zeroed below
 
     lt = first
     psi = np.zeros(J + 1)
@@ -131,14 +129,10 @@ def solve_pair(p: AngularPotential, k: int, parity: str) -> ElectricEigenpair:
         # residual forcing in the complement, leading-term coefficient nearly cancels
         F = (lt_new - first) * lead_samples + (lt_new + atil - a_samples) * corr
         Fc = _coeffs(F, J, sign)
-        psi_new = np.zeros(J + 1)
-        for j in range(0 if sign > 0 else 1, J + 1):
-            if j == k:
-                continue
-            if j == 0:
-                psi_new[0] = -Fc[0] / (k * k)
-            else:
-                psi_new[j] = Fc[j] / ((j - k) * (j + k))
+        psi_new = Fc / pivot
+        psi_new[k] = 0.0
+        if sign < 0:
+            psi_new[0] = 0.0   # the sine sector has no constant term
         change = max(abs(lt_new - lt), float(np.max(np.abs(psi_new - psi))))
         lt, psi = lt_new, psi_new
         psi_samples = _samples(psi, n, sign)

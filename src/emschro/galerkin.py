@@ -142,13 +142,9 @@ class SpectralDecomposition:
 
 
 def _phase_fix(U: np.ndarray) -> np.ndarray:
-    out = U.copy()
-    for k in range(U.shape[1]):
-        i = int(np.argmax(np.abs(U[:, k])))
-        c = U[i, k]
-        if c != 0:
-            out[:, k] = U[:, k] * (np.conj(c) / abs(c))
-    return out
+    top = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
+    # scalar abs: np.abs on the array rounds some moduli an ulp differently
+    return U * np.array([np.conj(c) / abs(c) if c != 0 else 1.0 for c in top])
 
 
 def eigensolve(H: np.ndarray, potential: AngularPotential) -> SpectralDecomposition:

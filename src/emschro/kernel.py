@@ -228,14 +228,15 @@ def kernel_value(data: KernelEigendata, rho: float, theta: float, theta_prime: f
     return KernelValue(value=complex(K[0, 0, 0]), terms_used=n, tail_bound=dropped)
 
 
+def _bessel_weights(orders: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Matrix i^{-b} J_b(rho_r), one row per order b."""
+    return np.array([i_power(b) * bessel.j_grid(b, rho) for b in map(float, orders)])
+
+
 def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """Matrix i^{-beta_k} J_{beta_k}(rho_r), zeroed from each rho's cutoff on."""
-    n_max = int(cuts.max())
-    W = np.zeros((n_max, rho.size), dtype=complex)
-    for k in range(n_max):
-        b = float(data.beta[k])
-        W[k] = i_power(b) * bessel.j_grid(b, rho)
-        W[k, cuts <= k] = 0.0
+    W = _bessel_weights(data.beta[:int(cuts.max())], rho)
+    W[np.arange(W.shape[0])[:, None] >= cuts] = 0.0
     return W
 
 
@@ -363,7 +364,7 @@ def difference_scan(dec: SpectralDecomposition, ells, rho_max: float) -> Differe
     j = np.array([pr.j for pr in pairs])
     # rows 2i and 2i + 1: pair i's mode and its model, whose weight is negated
     orders = np.column_stack([data.beta[k], np.abs(j + ab)]).ravel()
-    W = np.array([i_power(b) * bessel.j_grid(float(b), rho) for b in orders])
+    W = _bessel_weights(orders, rho)
     W[1::2] = -W[1::2]
     P = np.stack([chi[k], np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
     level = np.repeat(np.abs(j), 2)

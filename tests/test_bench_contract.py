@@ -8,7 +8,11 @@ The tracer is loaded by path and only read.
 import importlib
 import importlib.util
 import inspect
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -42,3 +46,29 @@ def test_probed_return_values():
     dec = galerkin.compute_spectrum(constant_potential(0.3), 8)
     assert isinstance(dec.M, int) and isinstance(dec.resolved_count, int)
     assert isinstance(kernel.cutoff_index(kernel.ab_eigendata(0.3, 24), 1.0, 1e-9), int)
+
+
+def test_series_counter_matches_the_series_route(monkeypatch):
+    # the tracer counts r <= series_switch_radius(nu) as series values; count
+    # what j_grid really hands the series, in a small call and a table call
+    from emschro import bessel
+
+    tracer = _load_tracer()
+    real = bessel._series_vec
+    handed = []
+
+    def recording(nu, r):
+        handed.append(r.size)
+        return real(nu, r)
+
+    monkeypatch.setattr(bessel, "_series_vec", recording)
+    table_r = np.linspace(0.0, 41.3, 3 * bessel.TABLE_MIN_VALUES)
+    middle = (table_r >= bessel.TABLE_X_LO) & (table_r < bessel.asymptotic_switch_radius(1.7))
+    assert np.count_nonzero(middle) >= bessel.TABLE_MIN_VALUES
+    for nu, r in ((1.7, np.linspace(0.0, 41.3, 701)), (1.7, table_r),
+                  (20.3, np.linspace(0.0, 41.3, 701))):
+        assert not np.any(r == bessel.series_switch_radius(nu))
+        handed.clear()
+        stub = SimpleNamespace(counts=Counter(), inside=lambda name: False)
+        tracer._j_grid(stub, (nu, r), {}, bessel.j_grid(nu, r))
+        assert stub.counts["bessel.j_series_values"] == sum(handed)

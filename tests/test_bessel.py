@@ -118,6 +118,10 @@ def test_order_and_argument_validation():
     with pytest.raises(UnsupportedOrder):
         bessel.j_grid(1 + 1j, 1.0)
     assert bessel.j_grid(complex(1, 0), 1.0) == bessel.j_grid(1.0, 1.0)
+    x = np.linspace(0.0, 40.0, 2 * bessel.TABLE_MIN_VALUES)
+    x[[3, 5000]] = np.nan
+    for call in (x, x[:100]):   # a table call and a small call
+        assert np.all(np.isnan(bessel.j_grid(0.3, call)) == np.isnan(call))
 
 
 def test_series_refuses_to_stop_short():
@@ -191,21 +195,20 @@ def test_table_regime_matches_mpmath_across_both_switches(nu):
 
 @pytest.mark.parametrize("nu", TABLE_ORDERS)
 def test_table_and_direct_routes_agree(nu):
-    # the direct route's series cancels terms of up to ~4e3 between x = 6 and its
-    # switch, so the comparison skips that band (the test below covers it)
-    cut = bessel.asymptotic_switch_radius(nu)
-    x = np.concatenate([np.linspace(bessel.TABLE_X_LO, 6.0, 300),
-                        np.linspace(bessel.series_switch_radius(nu), cut, 700)[1:-1]])
+    x = np.linspace(bessel.TABLE_X_LO, bessel.asymptotic_switch_radius(nu), 1000,
+                    endpoint=False)
     assert x.size < bessel.TABLE_MIN_VALUES
     assert np.max(np.abs(_table_call(nu, x) - bessel.j_grid(nu, x))) <= 2e-14
 
 
-@pytest.mark.parametrize("nu", (0.3, 1.7))
-def test_decay_sized_calls_escape_the_series_cancellation(nu):
-    x = np.linspace(10.0, 12.0, 41)
+@pytest.mark.parametrize("call", (bessel.j_grid, _table_call), ids=("small", "table"))
+@pytest.mark.parametrize("nu", (0.3, 1.7, 2.7, 8.66))
+def test_decay_sized_calls_escape_the_series_cancellation(nu, call):
+    # the power series would cancel terms of up to ~4e3 here; neither call sums it
+    x = np.linspace(bessel.TABLE_X_LO, 12.0, 201)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
-    assert np.max(np.abs(_table_call(nu, x) - ref)) <= 1e-14
+    assert np.max(np.abs(call(nu, x) - ref)) <= 2e-14
 
 
 def test_table_build_check_falls_back_to_the_direct_route(monkeypatch, fresh_tables):
