@@ -9,7 +9,8 @@ its `run_seconds`) on both checkouts in PAIRS alternating pairs, the rev first
 in even pairs and HEAD first in odd ones, both sides of a pair on the same
 seed.  It writes BENCH_<n>.json at the repository root: every run's
 end-to-end metrics, each side's median and quartiles, and the number of pairs
-HEAD won.
+HEAD won.  It exits 1, naming the runs, if any run was incorrect or had
+failed operations.
 
     python3 scripts/bench.py --rev HEAD~1 --number 6 --seed 20
 """
@@ -50,18 +51,34 @@ def run_once(checkout: Path, command: list[str], workload: str, seed: int,
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
 
 
+def unpack(sha: str, dest: Path) -> None:
+    """The committed files of sha, extracted into the existing directory dest."""
+    archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def bad_runs(record: dict) -> list[str]:
+    """Every run in the record that was incorrect or had failed operations."""
+    return [f"{name} {side} seed {run['seed']}: correct {run['correct']}, "
+            f"failed {run['failed']}"
+            for name, workload in record["workloads"].items()
+            for side in ("rev", "head") for run in workload[side]["runs"]
+            if not run["correct"] or run["failed"] > 0]
+
+
 def summary(runs: list[dict], metric: str) -> dict:
     values = [r["metrics"][metric] for r in runs]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--rev", required=True, help="the parent side, any git revision")
     parser.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     parser.add_argument("--seed", type=int, default=20, help="seed of the first pair")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     if git("status", "--porcelain", "--untracked-files=no"):
         parser.error("tracked files differ from HEAD; commit them first, "
@@ -83,10 +100,7 @@ def main() -> int:
         checkouts = {side: Path(tmp) / side for side in shas}
         for side, sha in shas.items():
             checkouts[side].mkdir()
-            archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
-                                     capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(checkouts[side])], input=archive,
-                           check=True)
+            unpack(sha, checkouts[side])
         for name in (w["name"] for w in spec["workloads"]):
             sides = {"rev": [], "head": []}
             for i in range(PAIRS):
@@ -112,7 +126,10 @@ def main() -> int:
     out = ROOT / f"BENCH_{args.number}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
-    return 0
+    bad = bad_runs(record)
+    for line in bad:
+        print(f"bad run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":

@@ -34,6 +34,7 @@ DEFAULT_TOL = 1e-9
 N_WINDOWS = 8              # geometric sup-scan windows, a quarter decade each
 DIFFERENCE_N_RHO = 120     # gap-scan grid: rho samples on [0, rho_max] ...
 DIFFERENCE_N_THETA = 48    # ... and uniform theta samples
+ROW_TIE_RTOL = 1e-11       # sup-scan ties: 26x the largest |K| rounding move seen, 3.8e-13
 
 
 def i_power(beta: float) -> complex:
@@ -241,8 +242,13 @@ def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray) ->
 
 
 def _mode_sum(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """sum_k W[k, r] P[k, t] conj Q[k, s]: weights times angular rows at theta, theta'."""
-    return np.einsum("kr,kt,ks->rts", W, P, np.conj(Q), optimize=True)
+    """sum_k W[k, r] P[k, t] conj Q[k, s]: weights times angular rows at theta, theta'.
+
+    One GEMM, W^T times the angular outer products A[k, t s] = P[k, t] conj Q[k, s],
+    at every shape; the result is C-ordered.
+    """
+    A = (P[:, :, None] * np.conj(Q)[:, None, :]).reshape(P.shape[0], -1)
+    return (W.T @ A).reshape(W.shape[1], P.shape[1], Q.shape[1])
 
 
 def evaluate_grid(data: KernelEigendata, rho: np.ndarray, theta: np.ndarray,
@@ -282,9 +288,11 @@ def sup_scan(data: KernelEigendata, rho_max: float, n_rho: int, n_theta: int,
     rho = np.linspace(0.0, rho_max, n_rho)
     th = theta_grid(n_theta)
     K = evaluate_grid(data, rho, th, th, tol)
-    # K comes out in Fortran order; a C-ordered |K| keeps the reshape a view
-    A = np.abs(K, order="C").reshape(n_rho, -1)
-    it, jt = np.unravel_index(np.argmax(A, axis=1), (n_theta, n_theta))
+    A = np.abs(K).reshape(n_rho, -1)
+    # each row reports its first (theta, theta') in C order within ROW_TIE_RTOL
+    # of the row maximum, so symmetric ties do not follow last-bit rounding
+    near = A >= (1.0 - ROW_TIE_RTOL) * A.max(axis=1, keepdims=True)
+    it, jt = np.unravel_index(np.argmax(near, axis=1), (n_theta, n_theta))
     row_values = K[np.arange(n_rho), it, jt]
     peak = np.abs(row_values)
     top = int(np.argmax(peak))

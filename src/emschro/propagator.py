@@ -35,10 +35,10 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from . import bessel, kernel
-from .errors import InsufficientResolution, InvalidInput, ResolutionError
+from .errors import InsufficientResolution, InvalidInput, InvalidMatrix, ResolutionError
 from .kernel import KernelEigendata
 from .potentials import theta_grid
 
@@ -459,6 +459,17 @@ def _spectral_refine(rows: np.ndarray, n_coarse: int) -> np.ndarray:
     return np.roll(fine, -1, axis=1)   # samples at dr_f * (1 .. n_fine)
 
 
+def solve_banded(factors: list, rhs: np.ndarray) -> np.ndarray:
+    """One Crank-Nicolson step: v with (I + i dt/2 H) v = rhs, from zgttrf's factors.
+
+    rhs is overwritten.
+    """
+    v, info = zgttrs(*factors, rhs, overwrite_b=1)
+    if info != 0:
+        raise ValueError(f"zgttrs: illegal value in argument {-info}")
+    return v
+
+
 def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
                           r_max: float | None = None) -> PolarField:
     """Modewise radial Crank-Nicolson evolution, sharing only the angular basis.
@@ -491,21 +502,25 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     sqrt_r = np.sqrt(r)
     out_modes = np.zeros((keep.size, n_r), dtype=complex)
     off = -1.0 / dr ** 2
+    # I +- i dt/2 H for the theta method: the implicit side is factored once
+    # per mode, the explicit side is a diagonal and one off-diagonal scalar
+    implicit_off = np.full(n_r - 1, 1j * dt / 2.0 * off, dtype=complex)
+    explicit_off = -1j * dt / 2.0 * off
     for row, k in enumerate(keep):
         v = fine[row] * sqrt_r
         diag = 2.0 / dr ** 2 + (float(data.mu[k]) - 0.25) / r ** 2
-        # banded forms of I +- i dt/2 H for the theta method
-        upper = np.full(n_r, 1j * dt / 2.0 * off, dtype=complex)
-        lower = upper.copy()
-        ab = np.zeros((3, n_r), dtype=complex)
-        ab[0, 1:] = upper[1:]
-        ab[1] = 1.0 + 1j * dt / 2.0 * diag
-        ab[2, :-1] = lower[:-1]
+        *factors, info = zgttrf(implicit_off, 1.0 + 1j * dt / 2.0 * diag, implicit_off)
+        if info != 0:
+            raise InvalidMatrix(f"Crank-Nicolson matrix of mode {k} is singular "
+                                f"(zgttrf info {info})")
+        explicit_diag = 1.0 - 1j * dt / 2.0 * diag
         for _ in range(n_steps):
-            rhs = (1.0 - 1j * dt / 2.0 * diag) * v
-            rhs[1:] += -1j * dt / 2.0 * off * v[:-1]
-            rhs[:-1] += -1j * dt / 2.0 * off * v[1:]
-            v = solve_banded((1, 1), ab, rhs)
+            rhs = explicit_diag * v
+            rhs[1:] += explicit_off * v[:-1]
+            rhs[:-1] += explicit_off * v[1:]
+            v = solve_banded(factors, rhs)
+        if not np.all(np.isfinite(v)):
+            raise InvalidInput(f"Crank-Nicolson field of mode {k} is not finite")
         out_modes[row] = v / sqrt_r
     values = out_modes.T @ Psi
     field = PolarField(r=r, values=values, t=t)

@@ -1,5 +1,7 @@
 """Propagator kernel series: closed-form references, truncation certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -162,6 +164,35 @@ def test_sup_scan_flux_line_frozen():
     rep = sup_scan(data, rho_max=50.0, n_rho=200, n_theta=64)
     assert rep.max_abs == pytest.approx(0.20877, abs=2e-4)
     assert rep.top_two_decade_variation < 0.01
+
+
+def test_sup_scan_reports_the_first_of_tied_maxima():
+    # flux-line |K| depends on theta - theta' only, so every row's maximum is
+    # tied along a diagonal; rounding-level changes must not move the report
+    data = ab_eigendata(0.3, 60)
+    scale = 1.0 + 1e-15 * np.random.default_rng(5).uniform(-1.0, 1.0, data.count)
+    nudged = replace(data, coeffs=data.coeffs * scale)
+    rep = sup_scan(data, rho_max=10.0, n_rho=50, n_theta=24)
+    rep_nudged = sup_scan(nudged, rho_max=10.0, n_rho=50, n_theta=24)
+    assert np.array_equal(rep.row_argmax, rep_nudged.row_argmax)
+    assert rep.argmax == rep_nudged.argmax
+    assert np.all(rep.row_argmax[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("k,n_rho,n_theta", [(166, 200, 64), (304, 120, 48), (1, 120, 48)])
+def test_mode_sum_matches_a_per_mode_loop(k, n_rho, n_theta):
+    rng = np.random.default_rng(k)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    W, P, Q = cplx(k, n_rho), cplx(k, n_theta), cplx(k, n_theta)
+    ref = np.zeros((n_rho, n_theta, n_theta), dtype=complex)
+    for w, p, q in zip(W, P, Q):
+        ref += w[:, None, None] * np.outer(p, np.conj(q))[None]
+    K = kernel._mode_sum(W, P, Q)
+    assert K.flags.c_contiguous
+    assert np.max(np.abs(K - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_kernel_value_rejects_negative_radius():

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from emschro.errors import InsufficientResolution, InvalidInput, ResolutionError
 from emschro.galerkin import compute_spectrum
@@ -338,6 +339,20 @@ def test_crank_nicolson_agrees_with_series(data_ab):
     orc = crank_nicolson_oracle(data_ab, u0, 0.5)
     ev = evolve(data_ab, u0, 0.5, r_out=orc.r)
     assert relative_l2_difference(ev, orc) < 1e-3
+
+
+def test_crank_nicolson_step_matches_scipys_banded_solve():
+    # the factored step against scipy's one-shot banded solve of I + i dt/2 H
+    rng = np.random.default_rng(9)
+    n, off = 200, 0.4j
+    diag = 1.0 + 1j * rng.uniform(0.5, 3.0, n)
+    rhs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ab = np.array([np.r_[0.0, np.full(n - 1, off)], diag, np.r_[np.full(n - 1, off), 0.0]])
+    ref = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    *factors, info = scipy.linalg.lapack.zgttrf(np.full(n - 1, off), diag, np.full(n - 1, off))
+    assert info == 0
+    v = propagator.solve_banded(factors, rhs.copy())
+    assert np.max(np.abs(v - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_crank_nicolson_boundary_monitor(data_ab):
