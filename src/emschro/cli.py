@@ -73,9 +73,11 @@ def _sidecar(path: str, cfg: ExperimentConfig, thresholds: dict) -> None:
 
 
 def _work_sizes(dec: galerkin.SpectralDecomposition) -> dict:
-    """Sizes of the Galerkin solve and of its certificate's band re-solve."""
+    """Sizes of the Galerkin solve and of its certificate's band re-solve, and
+    the solve's error budget: largest residual and eigenvector angle bound."""
     return {"matrix_dim": 2 * dec.M + 1, "reference_dim": dec.reference_dim,
-            "band_halfwidth": dec.band_halfwidth}
+            "band_halfwidth": dec.band_halfwidth,
+            "eig_residual_max": dec.residual_max, "eig_angle_bound": dec.angle_bound}
 
 
 def _out(cfg: ExperimentConfig, override: str | None, name: str) -> str:
@@ -231,6 +233,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
         "argmax": list(scan.argmax),
         "top_two_decade_variation": scan.top_two_decade_variation,
         "window_maxima": list(scan.window_maxima),
+        **_work_sizes(dec),
     }
     if _is_pure_ab(p):
         ab = kernel.ab_eigendata(p.reduced_circulation, (data.count - 1) // 2)
@@ -279,6 +282,7 @@ def cmd_decay(cfg: ExperimentConfig, out_dir: str | None) -> int:
         "l2_max_drift": report.l2_max_drift,
         "l1_initial": report.l1_initial,
         "l2_initial": report.l2_initial,
+        **_work_sizes(dec),
     }
     if sec["snapshots"]:
         for idx, row in enumerate(report.rows):

@@ -14,10 +14,15 @@ where V_m are the Fourier coefficients of a + A^2 - i A' (so V_m =
 up to round-off; `eigensolve` measures that defect once, on the assembled
 matrix, refuses it past HERMITIAN_DEFECT_TOL and solves the Hermitian part.
 
-H is banded: its half-width is b = max(bw(a), 2 bw(A)).  The M solve is a
-dense `eigh` (the eigenvectors are needed); the resolution certificate
-re-solves at M' = ceil(1.5 M) for eigenvalues only, from LAPACK upper band
-storage, in O(M' b) memory and O(M'^2 b) time.
+H is banded: its half-width is b = max(bw(a), 2 bw(A)), and it is only ever
+held in LAPACK band storage, in O(M b) memory.  The M solve takes its
+eigenvalues from `eigvals_banded` and its eigenvectors from banded inverse
+iteration (Wilkinson, ch. 9) in O(M^2 b) time: one `zgbtrf` per shift, a
+few `zgbtrs` steps, and a Rayleigh-Ritz step inside each group of close
+eigenvalues (Dhillon, BIT 38, 1998, on clusters).  The reported eigenvalues
+are shifted Rayleigh quotients, accurate relative to |mu| at the bottom of
+the spectrum, and every residual is checked.  The resolution certificate
+re-solves at M' = ceil(1.5 M) for eigenvalues only, also from band storage.
 """
 
 from __future__ import annotations
@@ -27,14 +32,18 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigvals_banded
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
-from .errors import InsufficientResolution, InvalidInput, InvalidMatrix
+from .errors import InsufficientResolution, InvalidInput, InvalidMatrix, NoConvergence
 from .potentials import AngularPotential, power_of_two_at_least, theta_grid
 
 HERMITIAN_DEFECT_TOL = 1e-12
 RESOLVE_FACTOR = 1.5
 RESOLVE_RTOL = 1e-9
 CLUSTER_GAP = 1e-8
+GROUP_RTOL = 1e-4         # relative eigenvalue gap that separates inverse-iteration groups
+INVERSE_STEPS = 2         # zgbtrs solves per shift
+CHUNK_BYTES = 1 << 20     # stacked band storage per zgbtrf call
 
 
 def _convolved_coeffs(p: AngularPotential) -> tuple[np.ndarray, np.ndarray, int]:
@@ -73,31 +82,30 @@ def _diagonals(p: AngularPotential, M: int):
 
 
 def assemble_matrix(p: AngularPotential, M: int) -> np.ndarray:
-    """Dense (2M+1)^2 matrix of the angular operator, as assembled.
+    """The (2M+1)^2 matrix of the angular operator, as assembled, in LAPACK
+    general band storage: ab[b + i - j, j] = H[i, j], shape (2b + 1, 2M + 1).
 
-    It is Hermitian up to round-off; `eigensolve` measures and removes the
-    defect.
+    Rows 0..b are the upper band storage that `eigvals_banded` reads.  H is
+    Hermitian up to round-off; `eigensolve` measures and removes the defect.
     """
     if M < 1:
         raise InvalidInput("M must be >= 1")
-    n = 2 * M + 1
-    H = np.zeros((n, n), dtype=complex)
-    for m, cols, d in _diagonals(p, M):
-        H[cols + m, cols] += d
-    return H
+    return _band(p, M)
+
+
+def _band(p: AngularPotential, M: int) -> np.ndarray:
+    diagonals = list(_diagonals(p, M))
+    b = len(diagonals) // 2
+    ab = np.zeros((2 * b + 1, 2 * M + 1), dtype=complex)
+    for m, cols, d in diagonals:
+        ab[b + m, cols] = d
+    return ab
 
 
 def _upper_band(p: AngularPotential, M: int) -> np.ndarray:
-    """`assemble_matrix(p, M)` in LAPACK upper band storage, shape (b + 1, 2M + 1).
-
-    ab[b + m, j] holds the entry (j + m, j) for m = -b..0.
-    """
-    upper = [(m, cols, d) for m, cols, d in _diagonals(p, M) if m <= 0]
-    b = len(upper) - 1
-    ab = np.zeros((b + 1, 2 * M + 1), dtype=complex)
-    for m, cols, d in upper:
-        ab[b + m, cols] = d
-    return ab
+    """The M matrix, as assembled, in LAPACK upper band storage, shape (b + 1, 2M + 1)."""
+    ab = _band(p, M)
+    return ab[:ab.shape[0] // 2 + 1]
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,10 @@ class SpectralDecomposition:
     eigenvalues of the M' = ceil(1.5 M) matrix to relative 1e-9.
     `hermitian_defect` is max |H - H^H| of the assembled M matrix, and
     `potential` the pair (a, A) the matrix was assembled from.
+    `residual_max` is the largest ||H x_k - mu_k x_k|| and `angle_bound` the
+    Davis-Kahan bound max_k ||r_k|| / gap_k on the angle between x_k and the
+    invariant subspace of its eigenvalue group, gap_k being the distance from
+    mu_k to the nearest eigenvalue outside the group.
     `reference_dim` (2M' + 1) and `band_halfwidth` (b) are the size of that
     re-solve; both are 0 when nothing was certified (a bare `eigensolve`).
     """
@@ -121,6 +133,8 @@ class SpectralDecomposition:
     resolved_count: int
     hermitian_defect: float
     potential: AngularPotential
+    residual_max: float
+    angle_bound: float
     reference_dim: int = 0
     band_halfwidth: int = 0
 
@@ -128,12 +142,14 @@ class SpectralDecomposition:
     def modes(self) -> np.ndarray:
         return np.arange(-self.M, self.M + 1)
 
-    def eigenfunctions_on_grid(self, n: int) -> np.ndarray:
-        """(n, n_eig) samples of all eigenfunctions on theta_grid(n)."""
+    def eigenfunctions_on_grid(self, n: int, columns=None) -> np.ndarray:
+        """(n, n_eig) samples of the eigenfunctions on theta_grid(n): all of
+        them, or the `columns` listed."""
         if n < 2 * self.M + 2:
             raise InvalidInput("grid too coarse for the stored bandwidth")
-        z = np.zeros((n, self.coeffs.shape[1]), dtype=complex)
-        z[self.modes % n, :] = self.coeffs
+        coeffs = self.coeffs if columns is None else self.coeffs[:, columns]
+        z = np.zeros((n, coeffs.shape[1]), dtype=complex)
+        z[self.modes % n, :] = coeffs
         return np.fft.ifft(z, axis=0) * n / math.sqrt(2.0 * math.pi)
 
     def sup_norms(self) -> np.ndarray:
@@ -142,31 +158,185 @@ class SpectralDecomposition:
 
 
 def _phase_fix(U: np.ndarray) -> np.ndarray:
+    """Rotate each column of U, in place, so its largest-modulus entry is real positive."""
     top = U[np.argmax(np.abs(U), axis=0), np.arange(U.shape[1])]
     # scalar abs: np.abs on the array rounds some moduli an ulp differently
-    return U * np.array([np.conj(c) / abs(c) if c != 0 else 1.0 for c in top])
+    U *= np.array([np.conj(c) / abs(c) if c != 0 else 1.0 for c in top])
+    return U
 
 
-def eigensolve(H: np.ndarray, potential: AngularPotential) -> SpectralDecomposition:
-    """Backward-stable dense Hermitian eigensolve with phase fixing.
+def _hermitian_part(ab: np.ndarray) -> tuple[np.ndarray, float]:
+    """0.5 (H + H^H) in general band storage, and the defect max |H - H^H|.
 
-    H is checked once, as given: its defect max |H - H^H| is refused past
-    HERMITIAN_DEFECT_TOL of max(1, max |H|) and reported, and the Hermitian
-    part 0.5 (H + H^H) is solved.  Nothing is certified: `resolved_count` is 0.
+    Each entry (j + m, j) meets its partner (j, j + m) once, so both come from
+    the +-m diagonal pairs with the arithmetic of the dense formulas.
     """
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1] or H.shape[0] % 2 != 1:
-        raise InvalidInput("matrix must be square with odd dimension 2M+1")
-    defect = float(np.max(np.abs(H - H.conj().T)))
-    scale = max(1.0, float(np.max(np.abs(H))))
+    b = ab.shape[0] // 2
+    n = ab.shape[1]
+    herm = np.zeros_like(ab)
+    herm[b] = ab[b].real
+    defect = 2.0 * float(np.max(np.abs(ab[b].imag)))
+    for m in range(1, b + 1):
+        low, up = ab[b + m, :n - m], ab[b - m, m:]
+        defect = max(defect, float(np.max(np.abs(low - up.conj()))))
+        herm[b + m, :n - m] = 0.5 * (low + up.conj())
+        herm[b - m, m:] = herm[b + m, :n - m].conj()
+    return herm, defect
+
+
+def _shifted_matvec(herm: np.ndarray, X: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Rows (H - s_k) x_k for the rows x_k of X and their shifts s_k."""
+    b = herm.shape[0] // 2
+    n = herm.shape[1]
+    Y = (herm[b].real - shifts[:, None]) * X
+    for m in range(1, b + 1):
+        Y[:, m:] += herm[b + m, :n - m] * X[:, :n - m]
+        Y[:, :n - m] += herm[b - m, m:] * X[:, m:]
+    return Y
+
+
+def _real_dot(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re(x_k^H y_k) for the rows of two C-contiguous complex arrays."""
+    return np.einsum("ij,ij->i", X.view(float), Y.view(float))
+
+
+def _groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the runs of sorted w that no relative gap
+    above GROUP_RTOL separates."""
+    rel = np.diff(w) / np.maximum(1.0, np.abs(w[:-1]))
+    starts = np.flatnonzero(np.concatenate(([True], rel > GROUP_RTOL)))
+    return starts, np.append(starts[1:], w.size)
+
+
+def _inverse_iteration(blocks: np.ndarray, shifts: np.ndarray, start: np.ndarray,
+                       tiny: float) -> np.ndarray:
+    """Rows (H - s_i)^{-INVERSE_STEPS} start_i, normalised after every step.
+
+    `blocks[i]` holds H transposed, in `zgbtrf` layout with b fill rows in
+    front, for shift i.  The shifted matrices are the blocks of one
+    block-diagonal band matrix, so one `zgbtrf` and one `zgbtrs` per step
+    serve every shift; partial pivoting never leaves a block, whose coupling
+    entries are zero.  An exactly singular block (an exact shift) gets the
+    pivot `tiny`.
+    """
+    c, n, rows = blocks.shape
+    b = (rows - 1) // 3
+    stack = blocks.copy()
+    stack[:, :, 2 * b] -= shifts[:, None]
+    lu, piv, _ = zgbtrf(stack.reshape(c * n, rows).T, b, b, overwrite_ab=True)
+    pivots = lu[2 * b]
+    pivots[pivots == 0] = tiny
+    x = start
+    for _ in range(INVERSE_STEPS):
+        x, _ = zgbtrs(lu, b, b, x.reshape(c * n), piv, overwrite_b=True)
+        x = x.reshape(c, n)
+        x /= np.sqrt(_real_dot(x, x))[:, None]
+    return x
+
+
+def _band_eigenpairs(herm: np.ndarray, scale: float):
+    """Eigenvalues, eigenvector rows and residual norms of a Hermitian band
+    matrix, with its eigenvalue groups (starts, ends).
+
+    Shifts are `eigvals_banded`'s eigenvalues.  Groups are solved in chunks
+    of about CHUNK_BYTES of stacked band storage.  A singleton reports the
+    shifted Rayleigh quotient s + x^H (H - s) x; a group of g vectors is
+    QR-orthonormalised and Rayleigh-Ritz rotated by a g x g `eigh`.
+    """
+    b = herm.shape[0] // 2
+    n = herm.shape[1]
+    w = eigvals_banded(herm[:b + 1], lower=False)
+    starts, ends = _groups(w)
+    per_chunk = max(int(np.max(ends - starts)),
+                    min(n, CHUNK_BYTES // ((3 * b + 1) * n * herm.itemsize)))
+    rng = np.random.default_rng(0)   # fixed start vectors, distinct within a chunk
+    start = rng.standard_normal((per_chunk, n)) + 1j * rng.standard_normal((per_chunk, n))
+    blocks = np.empty((per_chunk, n, 3 * b + 1), dtype=complex)   # fill rows unset
+    blocks[:, :, b:] = herm.T
+    X = np.empty((n, n), dtype=complex)
+    mu = np.empty(n)
+    res = np.empty(n)
+    first = 0
+    while first < starts.size:
+        last = int(np.searchsorted(starts, starts[first] + per_chunk, side="right"))
+        if ends[last - 1] - starts[first] > per_chunk:
+            last -= 1
+        lo, hi = starts[first], ends[last - 1]
+        sig = w[lo:hi]
+        x = _inverse_iteration(blocks[:hi - lo], sig, start[:hi - lo].copy(),
+                               np.finfo(float).eps * scale)
+        r = _shifted_matvec(herm, x, sig)
+        q = _real_dot(x, r)
+        m = sig + q
+        r -= q[:, None] * x
+        size = ends[first:last] - starts[first:last]
+        for g in np.unique(size[size > 1]):
+            rows = (starts[first:last][size == g] - lo)[:, None] + np.arange(g)
+            Q = np.linalg.qr(x[rows].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+            s0 = sig[rows[:, :1]]
+            HQ = _shifted_matvec(herm, Q.reshape(-1, n), np.repeat(s0, g)).reshape(Q.shape)
+            G = Q.conj() @ HQ.transpose(0, 2, 1)
+            theta, W = np.linalg.eigh(0.5 * (G + G.conj().transpose(0, 2, 1)))
+            Wt = W.transpose(0, 2, 1)
+            x[rows] = Wt @ Q
+            r[rows] = Wt @ HQ - theta[:, :, None] * x[rows]
+            m[rows] = s0 + theta
+        X[lo:hi] = x
+        mu[lo:hi] = m
+        res[lo:hi] = np.sqrt(_real_dot(r, r))
+        first = last
+    return mu, X, res, starts, ends
+
+
+def _angle_bound(mu: np.ndarray, res: np.ndarray, starts: np.ndarray,
+                 ends: np.ndarray) -> float:
+    """Davis-Kahan: max_k ||r_k|| / gap_k, gap_k from mu_k to the nearest
+    eigenvalue outside its group."""
+    size = ends - starts
+    below = np.repeat(np.concatenate(([-np.inf], mu[starts[1:] - 1])), size)
+    above = np.repeat(np.append(mu[ends[:-1]], np.inf), size)
+    return float(np.max(res / np.minimum(mu - below, above - mu)))
+
+
+def eigensolve(ab: np.ndarray, potential: AngularPotential) -> SpectralDecomposition:
+    """Eigenpairs of a band matrix in general band storage, with phase fixing.
+
+    The matrix is checked once, as given: its defect max |H - H^H| is refused
+    past HERMITIAN_DEFECT_TOL of max(1, max |H|) and reported, and the
+    Hermitian part 0.5 (H + H^H) is solved.  A diagonal matrix has the unit
+    vectors as eigenvectors; otherwise vectors come from banded inverse
+    iteration (`_band_eigenpairs`).  A residual ||H x - mu x|| above
+    RESOLVE_RTOL max(1, |mu|) is refused with NoConvergence.  Nothing is
+    certified: `resolved_count` is 0.
+    """
+    ab = np.asarray(ab)
+    if ab.ndim != 2 or ab.shape[0] % 2 != 1 or ab.shape[1] % 2 != 1:
+        raise InvalidInput("band storage must have 2b + 1 rows and 2M + 1 columns")
+    herm, defect = _hermitian_part(ab)
+    scale = max(1.0, float(np.max(np.abs(ab))))
     if defect > HERMITIAN_DEFECT_TOL * scale:
         raise InvalidMatrix(f"matrix is not Hermitian (defect {defect:.2e})")
-    w, U = np.linalg.eigh(0.5 * (H + H.conj().T))
-    U = _phase_fix(U)
-    M = H.shape[0] // 2
+    b = ab.shape[0] // 2
+    n = ab.shape[1]
+    if np.any(herm[:b]):
+        mu, X, res, starts, ends = _band_eigenpairs(herm, scale)
+        bad = res > RESOLVE_RTOL * np.maximum(1.0, np.abs(mu))
+        if np.any(bad):
+            k = int(np.argmax(bad))
+            raise NoConvergence(f"inverse iteration left residual {res[k]:.2e} "
+                                f"at eigenvalue {mu[k]:.6g}")
+        U = _phase_fix(X.T)
+        residual_max, angle = float(np.max(res)), _angle_bound(mu, res, starts, ends)
+    else:
+        order = np.argsort(herm[b].real, kind="stable")
+        mu = herm[b].real[order]
+        U = np.zeros((n, n), dtype=complex)
+        U[order, np.arange(n)] = 1.0
+        residual_max, angle = 0.0, 0.0
     return SpectralDecomposition(
-        eigenvalues=w, coeffs=U, M=M, resolved_count=0,
+        eigenvalues=mu, coeffs=U, M=n // 2, resolved_count=0,
         hermitian_defect=defect, potential=potential,
+        residual_max=residual_max, angle_bound=angle,
     )
 
 
@@ -174,8 +344,8 @@ def compute_spectrum(p: AngularPotential, M: int) -> SpectralDecomposition:
     """Assemble and solve at M, then certify the leading eigenvalues.
 
     The certificate re-solves at M' = ceil(RESOLVE_FACTOR M) for eigenvalues
-    only, from band storage (the dense M' matrix is never built), and counts
-    the leading eigenvalues that match it to relative `RESOLVE_RTOL`.
+    only, from band storage, and counts the leading eigenvalues that match it
+    to relative `RESOLVE_RTOL`.
     """
     dec = eigensolve(assemble_matrix(p, M), p)
     ab = _upper_band(p, int(math.ceil(RESOLVE_FACTOR * M)))
@@ -218,30 +388,30 @@ def pair_modes(dec: SpectralDecomposition, j_list) -> list[ModePairing]:
 
     The model eigenfunction for j is conj(gauge) e^{i(Atil + j) theta} / sqrt(2pi)
     = e^{i(j - L) theta} e^{-i P} / sqrt(2pi) (`AngularPotential.gauge`), whose
-    coefficients are those of e^{-i P} shifted by j - L.
+    coefficients are those of e^{-i P} shifted by j - L.  The model vectors
+    are the columns of one n x n_j matrix, and one product takes every
+    overlap.
     """
     p = dec.potential
     base = _gauge_profile_coeffs(p, dec.M)
     n = base.size
-    out = []
+    js = np.array([int(j) for j in j_list], dtype=int)
+    src = np.arange(n)[:, None] - (js - p.circulation_floor)   # mv[i] = base[i - shift]
+    inside = (src >= 0) & (src < n)
+    models = np.where(inside, base[np.clip(src, 0, n - 1)], 0.0)
+    ov = np.abs(models.T.conj() @ dec.coeffs)
     w = dec.eigenvalues
-    adjoint = dec.coeffs.conj().T
-    for j in j_list:
-        shift = int(j) - p.circulation_floor
-        mv = np.zeros(n, dtype=complex)
-        lo, hi = max(0, shift), min(n, n + shift)
-        if lo < hi:
-            mv[lo:hi] = base[lo - shift:hi - shift]
-        ov = np.abs(adjoint @ mv)
-        k = int(np.argmax(ov))
-        second = float(np.partition(ov, -2)[-2]) if ov.size > 1 else 0.0
+    out = []
+    for j, row in zip(js, ov):
+        k = int(np.argmax(row))
+        second = float(np.partition(row, -2)[-2]) if row.size > 1 else 0.0
         gap_prev = abs(w[k] - w[k - 1]) if k > 0 else np.inf
         gap_next = abs(w[k] - w[k + 1]) if k + 1 < w.size else np.inf
         cluster = min(gap_prev, gap_next) < CLUSTER_GAP * max(1.0, abs(w[k]))
         out.append(ModePairing(
-            j=int(j), k=k, overlap=float(ov[k]),
+            j=int(j), k=k, overlap=float(row[k]),
             cluster_flag=bool(cluster),
-            ambiguous=bool(second > 0.8 * ov[k]),
+            ambiguous=bool(second > 0.8 * row[k]),
         ))
     return out
 

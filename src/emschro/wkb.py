@@ -224,13 +224,13 @@ def asymptotic_residuals(dec: SpectralDecomposition, j_list,
     js = [int(j) for j in j_list]
     pairs = pair_modes(dec, js)
     th = theta_grid(grid_n)
-    psi_all = dec.eigenfunctions_on_grid(grid_n)
+    psi = dec.eigenfunctions_on_grid(grid_n, [pr.k for pr in pairs])
     gauge = p.gauge(th)
     rows = []
-    for pr in pairs:
+    for pr, psi_k in zip(pairs, psi.T):
         mu = float(dec.eigenvalues[pr.k])
         eig_res = abs(mu - atil - (pr.j + ab) ** 2)
-        f = math.sqrt(2.0 * math.pi) * gauge * psi_all[:, pr.k]
+        f = math.sqrt(2.0 * math.pi) * gauge * psi_k
         g = np.exp(1j * (p.circulation + pr.j) * th)
         z = np.mean(np.conj(f) * g)
         c = z / abs(z) if abs(z) > 0 else 1.0

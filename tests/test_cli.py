@@ -80,6 +80,31 @@ def test_sidecars_record_galerkin_work_sizes(ab_config, tmp_path):
         assert sizes == {"matrix_dim": 65, "reference_dim": 97, "band_halfwidth": 0}
 
 
+def test_sidecars_record_the_eigensolve_error_budget(tmp_path):
+    # a = 1 + cos(theta), A = 0.3: a banded, positive-well operator every command accepts
+    config = write_config(tmp_path, "well.json", {
+        "potential": {"a_coeffs": [[0.5, 0.0], [1.0, 0.0], [0.5, 0.0]],
+                      "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "spectrum": {"M": 32, "j_max": 12, "cluster_k_min": 4, "cluster_k_max": 8},
+        "wkb": {"M": 32, "j_list": [8, -8]},
+        "kernel_scan": {"M": 32, "rho_max": 5.0, "n_rho": 8, "n_theta": 8},
+        "decay": {"M": 16, "n_r": 640, "t_list": [1.0, 10.0, 100.0, 1000.0]},
+    })
+    dec = galerkin.compute_spectrum(build_potential(a_coeffs=[0.5, 1.0, 0.5],
+                                                    A_coeffs=[0.3]), 32)
+    for command, table in (("spectrum", "eigenvalues.csv"), ("wkb", "wkb.csv"),
+                           ("kernel-scan", "kernel_scan.csv"), ("decay", "decay.csv")):
+        cli.main([command, config])
+        meta = json.loads((tmp_path / "out" / f"{table}.meta.json").read_text())
+        budget = meta["thresholds"]
+        assert 0.0 < budget["eig_residual_max"] < 1e-9
+        assert 0.0 < budget["eig_angle_bound"] < 1e-9
+        if command in ("spectrum", "wkb", "kernel-scan"):
+            assert (budget["eig_residual_max"], budget["eig_angle_bound"]) == (
+                dec.residual_max, dec.angle_bound)
+
+
 def test_kernel_scan_command(ab_config, tmp_path):
     assert cli.main(["kernel-scan", ab_config]) == 0
     assert (tmp_path / "out" / "kernel_scan.csv").exists()

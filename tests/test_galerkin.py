@@ -8,18 +8,43 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emschro import galerkin
-from emschro.errors import InvalidInput
+from emschro.errors import InvalidInput, NoConvergence
 from emschro.galerkin import (
     RESOLVE_FACTOR,
     RESOLVE_RTOL,
+    _diagonals,
     _upper_band,
     assemble_matrix,
     cluster_check,
     compute_spectrum,
+    eigensolve,
+    pair_modes,
     spectrum_rows,
     subspace_angle,
 )
 from emschro.potentials import build_potential, constant_potential, theta_grid
+
+
+def dense_matrix(p, M) -> np.ndarray:
+    """The (2M+1)^2 matrix as assembled, built densely from its diagonals: the
+    independent reference the band route is checked against."""
+    n = 2 * M + 1
+    H = np.zeros((n, n), dtype=complex)
+    for m, cols, d in _diagonals(p, M):
+        H[cols + m, cols] += d
+    return H
+
+
+def dense_eigh(p, M):
+    H = dense_matrix(p, M)
+    return np.linalg.eigh(0.5 * (H + H.conj().T))
+
+
+def sin_angle(U1, U2) -> float:
+    """sin of the largest principal angle between two column spans (no arccos
+    round-off floor)."""
+    Q1, Q2 = np.linalg.qr(U1)[0], np.linalg.qr(U2)[0]
+    return float(np.linalg.norm(Q2 - Q1 @ (Q1.conj().T @ Q2), 2))
 
 
 @pytest.mark.parametrize("alpha", [0.3, -0.25, 0.5])
@@ -57,7 +82,7 @@ def test_positive_well_ground_state_frozen_value():
                                         ("p_ab", 5, 0)])
 def test_band_storage_reproduces_the_assembled_matrix(request, name, M, b):
     p = request.getfixturevalue(name)
-    H = assemble_matrix(p, M)
+    H = dense_matrix(p, M)
     ab = _upper_band(p, M)
     n = 2 * M + 1
     assert ab.shape == (b + 1, n)
@@ -67,11 +92,18 @@ def test_band_storage_reproduces_the_assembled_matrix(request, name, M, b):
             upper[i, j] = ab[b + i - j, j]
     assert np.max(np.abs(upper - np.triu(H))) <= 1e-14 * np.max(np.abs(H))
     assert not np.any(np.triu(H, b + 1))
+    full = assemble_matrix(p, M)   # general band storage, both triangles
+    assert full.shape == (2 * b + 1, n)
+    band = np.zeros_like(H)
+    for j in range(n):
+        for i in range(max(0, j - b), min(n, j + b + 1)):
+            band[i, j] = full[b + i - j, j]
+    assert np.array_equal(band, H)
 
 
 def _dense_certified_count(p, dec) -> int:
     """The certificate by its definition: a dense eigvalsh of the M' matrix."""
-    H = assemble_matrix(p, math.ceil(RESOLVE_FACTOR * dec.M))
+    H = dense_matrix(p, math.ceil(RESOLVE_FACTOR * dec.M))
     ref = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
     count = 0
     for mu, mu_ref in zip(dec.eigenvalues, ref):
@@ -107,7 +139,7 @@ def test_compute_spectrum_assembles_once(monkeypatch, p_mixed):
 
 def test_hermitian_defect_is_that_of_the_assembled_matrix(p_mixed):
     dec = compute_spectrum(p_mixed, 64)
-    H = assemble_matrix(p_mixed, 64)
+    H = dense_matrix(p_mixed, 64)
     defect = max(abs(H[i, j] - np.conj(H[j, i])) for i, j in np.ndindex(H.shape))
     assert dec.hermitian_defect == defect > 0.0
 
@@ -194,3 +226,89 @@ def test_shift_property_random_constant(c):
     d0 = compute_spectrum(base, 16)
     d1 = compute_spectrum(moved, 16)
     assert np.allclose(d1.eigenvalues - d0.eigenvalues, c, atol=1e-10)
+
+
+# -- the band route against the dense reference ------------------------------------
+
+
+def _flux(alpha):
+    return constant_potential(alpha)
+
+
+@pytest.mark.parametrize("M", [24, 96])
+@pytest.mark.parametrize("name", ["p_cos", "p_mixed", "p_even_electric", "p_ab",
+                                  "flux_0", "flux_half"])
+def test_band_route_matches_dense_eigh(request, name, M):
+    p = {"flux_0": lambda: _flux(0.0), "flux_half": lambda: _flux(0.5)}.get(
+        name, lambda: request.getfixturevalue(name))()
+    dec = eigensolve(assemble_matrix(p, M), p)
+    w, U = dense_eigh(p, M)
+    assert np.all(np.abs(dec.eigenvalues - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
+    starts, ends = galerkin._groups(w)   # clusters of the dense spectrum
+    for lo, hi in zip(starts, ends):
+        assert sin_angle(dec.coeffs[:, lo:hi], U[:, lo:hi]) <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_electric_potentials_are_orthonormal_at_m160(alpha):
+    # near-degenerate sector pairs need the grouped Rayleigh-Ritz step
+    p = build_potential(a_coeffs=[1.0, 0.0, 0.0, 0.0, 1.0], A_coeffs=[alpha])
+    dec = compute_spectrum(p, 160)
+    U = dec.coeffs
+    assert np.max(np.abs(U.conj().T @ U - np.eye(U.shape[1]))) <= 1e-13
+
+
+def test_error_budget_holds_against_the_gram_matrix(monkeypatch, p_even_electric):
+    # one step leaves visibly non-orthogonal vectors: the bound must still cover them
+    bounds = []
+    for steps in (galerkin.INVERSE_STEPS, 1):
+        monkeypatch.setattr(galerkin, "INVERSE_STEPS", steps)
+        dec = compute_spectrum(p_even_electric, 48)
+        H = dense_matrix(p_even_electric, 48)
+        H = 0.5 * (H + H.conj().T)
+        U, mu = dec.coeffs, dec.eigenvalues
+        res = np.linalg.norm(H @ U - U * mu, axis=0)
+        assert dec.residual_max == pytest.approx(float(np.max(res)), rel=1e-3)
+        starts, ends = galerkin._groups(mu)
+        group = np.repeat(np.arange(starts.size), ends - starts)
+        gram = np.abs(U.conj().T @ U - np.eye(mu.size))
+        across = group[:, None] != group[None, :]
+        assert np.max(gram[across]) <= 2.0 * dec.angle_bound
+        assert np.max(gram[~across]) <= 1e-13
+        bounds.append(dec.angle_bound)
+    assert bounds[1] > 100.0 * bounds[0]
+
+
+def test_unconverged_inverse_iteration_is_refused(monkeypatch, p_mixed):
+    monkeypatch.setattr(galerkin, "INVERSE_STEPS", 0)   # start vectors, unsolved
+    with pytest.raises(NoConvergence):
+        compute_spectrum(p_mixed, 24)
+
+
+def test_a_diagonal_matrix_gets_unit_vectors(p_ab):
+    dec = compute_spectrum(_flux(0.5), 16)   # every level but one is a double
+    assert np.array_equal(np.abs(dec.coeffs) ** 2, np.abs(dec.coeffs))
+    assert (dec.residual_max, dec.angle_bound) == (0.0, 0.0)
+
+
+def test_pair_modes_product_matches_one_matvec_per_index(dec_mixed64):
+    # the reference: one n x n matvec per j, as the pairing was first written
+    p = dec_mixed64.potential
+    base = galerkin._gauge_profile_coeffs(p, dec_mixed64.M)
+    n = base.size
+    js = list(range(-40, 41))
+    for j, pr in zip(js, pair_modes(dec_mixed64, js)):
+        shift = j - p.circulation_floor
+        mv = np.zeros(n, dtype=complex)
+        lo, hi = max(0, shift), min(n, n + shift)
+        if lo < hi:
+            mv[lo:hi] = base[lo - shift:hi - shift]
+        ov = np.abs(dec_mixed64.coeffs.conj().T @ mv)
+        assert pr.k == int(np.argmax(ov))
+        assert pr.overlap == pytest.approx(float(ov[pr.k]), rel=1e-13)
+
+
+def test_sampling_chosen_columns_matches_sampling_all(dec_mixed64):
+    cols = [7, 3, 60, 61]
+    assert np.array_equal(dec_mixed64.eigenfunctions_on_grid(512, cols),
+                          dec_mixed64.eigenfunctions_on_grid(512)[:, cols])
