@@ -1,6 +1,7 @@
 """Bessel J evaluation for real nonnegative order: one vectorized surface.
 
-`j_grid` is the only J_nu evaluator.  Where it switches depends on nu alone:
+`j_grid` evaluates one order on an array of radii, `j_orders` a block of
+orders on one radius grid.  Where `j_grid` switches depends on nu alone:
 
 - an ascending power series for x < `series_switch_radius(nu)`: TABLE_X_LO
   for the orders Hankel's expansion serves (nu < 2K + 1/2), where every term
@@ -27,6 +28,16 @@ at most 2^-53, so the truncation is certified, not tuned.  Against 30-digit
 mpmath references every regime stays below 2e-12 absolute error, and both
 middle evaluators below 2e-14 on [2, 12] (tests/test_bessel.py checks this
 across the switches).
+
+`j_orders` keeps that map pair by pair, except that the series reaches nu/2
+for every order, and serves the middle range from Bessel's integral for all
+orders at once.  Both integrands separate in (nu, x), so a block of orders
+is two matrix products, orders x quadrature nodes times nodes x radii.  Its
+accuracy is absolute, about 2e-14 like the table's, where `j_grid`'s scipy
+route is relative.  Each block is checked at a few (order, radius) pairs
+against scipy's `jv` and taken from `jv` on a miss.  The kernel's weights
+and the uniform-order bound scan read `j_orders`.
+
 The tail majorant (rho/2)^nu / Gamma(nu+1) (valid for every real rho >= 0 and
 nu >= 0) is what kernel truncation uses.
 """
@@ -54,8 +65,14 @@ TABLE_MIN_VALUES = 8192         # in-range radii one call needs to use the table
 TABLE_CACHE_ORDERS = 64         # orders whose tables are kept
 TABLE_CHECK_ATOL = 1e-14        # build check: table against the integral off the nodes
 QUADRATURE_POINTS = 96          # Gauss-Legendre points per panel of Bessel's integral
-QUADRATURE_PANEL_PHASE = 48.0   # the theta integral gets one panel per 48 of nu + x
-QUADRATURE_BLOCK = 64           # radii per block of the quadrature (bounds temporaries)
+QUADRATURE_PANEL_PHASE = 48.0   # the theta integral's phase turns by at most 48 pi per panel ...
+QUADRATURE_MAX_PANELS = 64      # ... on up to 64 panels; `j_orders` sends larger nu + x to scipy
+QUADRATURE_T_PANELS = 4         # the t integral gets at least 4 panels ...
+QUADRATURE_T_PHASE = 600.0      # ... and one per 600 of (nu + x) times its span
+QUADRATURE_ELEMENTS = 1 << 17   # nodes x radii per block of the quadrature (bounds temporaries)
+ORDER_BLOCK = 32                # orders per block of `j_orders` (bounds orders x nodes)
+HOLDOUT_PAIRS = 4               # (order, radius) pairs of each block checked against scipy
+HOLDOUT_ATOL = 1e-13            # largest miss of a checked pair before the block goes to scipy
 LANDAU_N_R = 2000               # radii per order in the uniform-order bound scan
 
 
@@ -135,6 +152,74 @@ def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
     return out
 
 
+def j_orders(orders, r) -> np.ndarray:
+    """J_nu(r) for every order of `orders` and radius of `r`, shape (len(orders), len(r)).
+
+    `j_grid`'s regime map, pair by pair, with the series reaching nu/2 for
+    every order:
+    - one series loop over every pair with r < S(nu) = max(
+      `series_switch_radius(nu)`, nu/2).  Below nu/2 the terms fall from the
+      first, so J there keeps relative accuracy however small it is;
+    - Bessel's integral as matrix products on [S(nu),
+      `asymptotic_switch_radius(nu)`), one block of ORDER_BLOCK orders at a
+      time.  Each block is checked at HOLDOUT_PAIRS pairs against scipy's
+      `jv`, and on a miss the whole block is taken from `jv`, as are radii
+      past QUADRATURE_MAX_PANELS panels.  The integral's accuracy is
+      absolute, about 2e-14; `j_grid` is the route with relative accuracy on
+      the middle range;
+    - Hankel's expansion with each order's coefficients from
+      `asymptotic_switch_radius(nu)` on.
+    """
+    nus = np.array([_check_order(nu) for nu in np.asarray(orders).reshape(-1).tolist()],
+                   dtype=float)
+    x = np.asarray(r, dtype=float)
+    if x.ndim != 1:
+        raise InvalidInput("radii must be a 1-D array")
+    if np.any(x < 0):
+        raise InvalidInput("arguments must be nonnegative")
+    out = np.full((nus.size, x.size), np.nan)   # no regime claims a NaN radius
+    lo = np.array([max(series_switch_radius(nu), 0.5 * nu) for nu in nus])
+    cut = np.array([asymptotic_switch_radius(nu) for nu in nus])
+    k, i = np.nonzero(x < lo[:, None])
+    if k.size:
+        out[k, i] = _series_vec(nus[k], x[i])
+    for k0 in range(0, nus.size, ORDER_BLOCK):
+        block = slice(k0, k0 + ORDER_BLOCK)
+        middle = (x >= lo[block, None]) & (x < cut[block, None])
+        if np.any(middle):
+            _middle_block(nus[block], x, middle, out[block])
+    for k in np.flatnonzero(np.isfinite(cut)):
+        large = np.flatnonzero(x >= cut[k])
+        if large.size:
+            a = _hankel_coefficients(nus[k], 2 * ASYMPTOTIC_PAIRS)
+            out[k, large] = _hankel_asymptotic(nus[k], a, x[large])
+    return out
+
+
+def _middle_block(nus: np.ndarray, x: np.ndarray, middle: np.ndarray, out: np.ndarray) -> None:
+    """out[middle] = J from Bessel's integral, or from scipy if a holdout pair misses.
+
+    Radii past QUADRATURE_MAX_PANELS panels for the block's largest order get
+    scipy's `jv`, so the quadrature's matrices stay within a fixed size.
+    """
+    rows = np.flatnonzero(np.any(middle, axis=1))
+    nus, middle = nus[rows], middle[rows]
+    fits = x <= 2.0 * QUADRATURE_MAX_PANELS * QUADRATURE_PANEL_PHASE - float(np.max(nus))
+    k, i = np.nonzero(middle & ~fits)
+    if k.size:
+        out[rows[k], i] = _scipy_jv(nus[k], x[i])
+    cols = np.flatnonzero(np.any(middle & fits, axis=0))
+    if not cols.size:
+        return
+    k, i = np.nonzero(middle[:, cols])
+    values = _bessel_integral(nus, x[cols])[k, i]
+    held = np.unique(np.linspace(0, k.size - 1, HOLDOUT_PAIRS).astype(np.intp))
+    miss = np.abs(values[held] - _scipy_jv(nus[k[held]], x[cols[i[held]]]))
+    if not np.all(miss <= HOLDOUT_ATOL):
+        values = _scipy_jv(nus[k], x[cols[i]])
+    out[rows[k], cols[i]] = values
+
+
 def _by_blocks(f, flat_r: np.ndarray, flat_out: np.ndarray, idx: np.ndarray) -> None:
     """flat_out[idx] = f(flat_r[idx]), ASYMPTOTIC_BLOCK values at a time."""
     for b0 in range(0, idx.size, ASYMPTOTIC_BLOCK):
@@ -197,31 +282,70 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (g + 1.0), w
 
 
-def _bessel_integral(nu: float, x: np.ndarray) -> np.ndarray:
-    """J_nu(x) for x > 0 from Bessel's integral (Watson, sec. 6.2), by Gauss-Legendre sums.
+def _theta_panels(reach: float) -> int:
+    """Panels of the theta integral on [0, pi/2] for nu + x up to reach."""
+    return math.ceil(reach / (2.0 * QUADRATURE_PANEL_PHASE))
+
+
+def _bessel_integral(nu, x: np.ndarray) -> np.ndarray:
+    """J_nu(x) for 1-D x > 0 from Bessel's integral (Watson, sec. 6.2), by Gauss-Legendre sums.
 
     J_nu(x) = (1/pi) int_0^pi cos(nu th - x sin th) dth
               - (sin nu pi / pi) int_0^inf exp(-x sinh t - nu t) dt.
-    The theta integral is split into ceil((nu + max x) / QUADRATURE_PANEL_PHASE)
-    panels, so its phase turns by at most QUADRATURE_PANEL_PHASE pi on each; the
-    t integral stops where x sinh t = 745, past which exp underflows.
+    nu is one order (the result has x's shape) or a 1-D array (one row per
+    order).  Both integrands separate in (nu, x), so a block of radii is two
+    matrix products, orders x nodes times nodes x radii:
+    - sin th takes the same values at th and pi - th, so the theta integral
+      runs over [0, pi/2] with E = w [cos nu th + cos nu (pi - th),
+      sin nu th + sin nu (pi - th)] and F = [cos(x sin th); sin(x sin th)].
+      It has `_theta_panels(max nu + max x)` panels, so its phase turns by at
+      most QUADRATURE_PANEL_PHASE pi on each;
+    - exp(-x sinh t - nu t) = e^{-nu t} e^{-x sinh t}.  The t integral stops
+      at asinh(745 / min x), past which exp underflows, on at least
+      QUADRATURE_T_PANELS panels and one per QUADRATURE_T_PHASE of (nu + x)
+      times that span.  sin nu pi is exactly 0 for integer orders, which
+      skip it.
+    Blocks of radii keep nodes x radii within QUADRATURE_ELEMENTS.
+    """
+    nus = np.atleast_1d(np.asarray(nu, dtype=float))
+    g, w = _gauss_legendre()
+    sin_nu_pi = np.where(nus == np.round(nus), 0.0, np.sin(math.pi * np.fmod(nus, 2.0)))
+    odd = np.flatnonzero(sin_nu_pi)
+    top = float(np.max(nus))
+    step = max(1, QUADRATURE_ELEMENTS
+               // (QUADRATURE_POINTS * _theta_panels(top + float(np.max(x)))))
+    rows = {}   # panel count -> (sin theta, E)
+    out = np.empty((nus.size, x.size))
+    for b0 in range(0, x.size, step):
+        xb = x[b0:b0 + step]
+        reach = top + float(np.max(xb))
+        panels = _theta_panels(reach)
+        if panels not in rows:
+            theta = (0.5 * math.pi / panels) * (np.arange(panels)[:, None] + g).ravel()
+            a, b = np.outer(nus, theta), np.outer(nus, math.pi - theta)
+            rows[panels] = (np.sin(theta), np.tile(w, 2 * panels) * (0.25 / panels)
+                            * np.concatenate([np.cos(a) + np.cos(b), np.sin(a) + np.sin(b)],
+                                             axis=1))
+        sin_theta, e = rows[panels]
+        arg = np.outer(sin_theta, xb)
+        v = e @ np.concatenate([np.cos(arg), np.sin(arg)])
+        if odd.size:
+            v[odd] -= (sin_nu_pi[odd, None] / math.pi) * _t_integral(nus[odd], xb, reach)
+        out[:, b0:b0 + xb.size] = v
+    return out if np.ndim(nu) else out[0]
+
+
+def _t_integral(nus: np.ndarray, x: np.ndarray, reach: float) -> np.ndarray:
+    """int_0^inf exp(-x sinh t - nu t) dt for every order and radius x > 0; reach >= nu + x.
+
+    One matrix product, e^{-nu t} w times e^{-x sinh t}, on `_bessel_integral`'s t panels.
     """
     g, w = _gauss_legendre()
-    panels = math.ceil((nu + float(np.max(x))) / QUADRATURE_PANEL_PHASE)
-    theta = (math.pi / panels) * (np.arange(panels)[:, None] + g).ravel()
-    sin_theta, w_theta = np.sin(theta), np.tile(w, panels) * (0.5 / panels)
-    sin_nu_pi = math.sin(math.pi * math.fmod(nu, 2.0))
-    out = np.empty(x.shape)
-    for b0 in range(0, x.size, QUADRATURE_BLOCK):
-        xb = x[b0:b0 + QUADRATURE_BLOCK]
-        v = np.cos(nu * theta - np.outer(xb, sin_theta)) @ w_theta
-        if sin_nu_pi != 0.0:
-            span = np.arcsinh(745.0 / xb)
-            t = np.outer(span, g)
-            v -= (0.5 * sin_nu_pi / math.pi) * span * (
-                np.exp(-xb[:, None] * np.sinh(t) - nu * t) @ w)
-        out[b0:b0 + QUADRATURE_BLOCK] = v
-    return out
+    span = math.asinh(745.0 / float(np.min(x)))
+    n_t = max(QUADRATURE_T_PANELS, math.ceil(reach * span / QUADRATURE_T_PHASE))
+    t = (span / n_t) * (np.arange(n_t)[:, None] + g).ravel()
+    e_t = np.exp(-np.outer(nus, t)) * (np.tile(w, n_t) * (0.5 * span / n_t))
+    return e_t @ np.exp(-np.outer(np.sinh(t), x))
 
 
 def _hankel_asymptotic(nu: float, a: list[float], x: np.ndarray) -> np.ndarray:
@@ -253,14 +377,20 @@ def _hankel_asymptotic(nu: float, a: list[float], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_vec(nu: float, r: np.ndarray) -> np.ndarray:
+def _series_vec(nu, r: np.ndarray) -> np.ndarray:
+    """Ascending power series of J_nu at every radius; nu is one order or one per radius.
+
+    The convergence check is per element.
+    """
+    nu = np.asarray(nu, dtype=float)
+    orders, where = np.unique(nu, return_inverse=True)
+    lgamma = np.array([math.lgamma(v + 1.0) for v in orders.tolist()])[where].reshape(nu.shape)
     half = r / 2.0
     with np.errstate(divide="ignore"):
         log_t0 = np.where(half > 0, nu * np.log(np.where(half > 0, half, 1.0)), -np.inf)
-    log_t0 = log_t0 - math.lgamma(nu + 1.0)
+    log_t0 = log_t0 - lgamma
     t = np.where(log_t0 > -745.0, np.exp(np.maximum(log_t0, -745.0)), 0.0)
-    if nu == 0.0:
-        t = np.where(r == 0.0, 1.0, t)
+    t[(r == 0.0) & (nu == 0.0)] = 1.0
     neg_x2 = -(half * half)
     n_terms = min(int(np.max(half) * math.e + 30), 500) if r.size else 1
     # |t_m| grows only while m (nu + m) < x^2, so every radius peaks by m = max(x) + 1
@@ -279,8 +409,8 @@ def _series_vec(nu: float, r: np.ndarray) -> np.ndarray:
     biggest *= 2.0 ** -52
     if not np.all(np.isfinite(s) & (np.abs(t, out=abs_t) <= biggest)):
         raise NoConvergence(
-            f"J_{nu} power series not converged after {n_terms} terms "
-            f"(largest radius {float(np.max(r))})")
+            f"J_nu power series not converged after {n_terms} terms "
+            f"(orders up to {float(np.max(nu))}, largest radius {float(np.max(r))})")
     return s
 
 
@@ -304,18 +434,24 @@ class LandauReport:
 
 
 def landau_bound_check(nu_max: int) -> LandauReport:
-    """Measure sup over nu in {1..nu_max}, r in [0, nu_max + 20], of |J_nu(r)| nu^{1/3}."""
+    """Measure sup over nu in {1..nu_max}, r in [0, nu_max + 20], of |J_nu(r)| nu^{1/3}.
+
+    The grid is read ORDER_BLOCK orders at a time from `j_orders`; its first
+    maximum (lowest order, then smallest radius) is refined with `j_grid`.
+    """
     if nu_max < 1:
         raise InvalidInput("nu_max must be >= 1")
     rg = np.linspace(0.0, float(nu_max) + 20.0, LANDAU_N_R)
     best = -1.0
     arg = (1.0, 0.0)
-    for nu in range(1, nu_max + 1):
-        vals = np.abs(j_grid(float(nu), rg)) * nu ** (1.0 / 3.0)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best = float(vals[i])
-            arg = (float(nu), float(rg[i]))
+    for k0 in range(1, nu_max + 1, ORDER_BLOCK):
+        orders = np.arange(k0, min(k0 + ORDER_BLOCK, nu_max + 1), dtype=float)
+        scale = np.array([nu ** (1.0 / 3.0) for nu in orders.tolist()])
+        vals = np.abs(j_orders(orders, rg)) * scale[:, None]
+        k, i = np.unravel_index(np.argmax(vals), vals.shape)
+        if vals[k, i] > best:
+            best = float(vals[k, i])
+            arg = (float(orders[k]), float(rg[i]))
     # local refinement around the winner
     nu0, r0 = arg
     dr = rg[1] - rg[0]

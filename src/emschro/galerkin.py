@@ -478,12 +478,16 @@ def cluster_check(dec: SpectralDecomposition, k_min: int, k_max: int) -> Cluster
 
 
 def subspace_angle(U1: np.ndarray, U2: np.ndarray) -> float:
-    """Largest principal angle (radians) between the column spans of U1, U2."""
+    """Largest principal angle (radians) between column spans of equal dimension.
+
+    arcsin of ||(I - Q1 Q1^H) Q2||_2, which resolves angles down to round-off;
+    arccos of the smallest singular value of Q1^H Q2 cannot go below about
+    sqrt(2 eps) = 2e-8.
+    """
     Q1, _ = np.linalg.qr(np.atleast_2d(U1.T).T if U1.ndim == 1 else U1)
     Q2, _ = np.linalg.qr(np.atleast_2d(U2.T).T if U2.ndim == 1 else U2)
-    s = np.linalg.svd(Q1.conj().T @ Q2, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return float(np.arccos(np.min(s)))
+    sine = np.linalg.norm(Q2 - Q1 @ (Q1.conj().T @ Q2), 2)
+    return float(np.arcsin(min(sine, 1.0)))
 
 
 def loglog_slope(x: np.ndarray, vals: np.ndarray) -> float:

@@ -230,8 +230,9 @@ def kernel_value(data: KernelEigendata, rho: float, theta: float, theta_prime: f
 
 
 def _bessel_weights(orders: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Matrix i^{-b} J_b(rho_r), one row per order b."""
-    return np.array([i_power(b) * bessel.j_grid(b, rho) for b in map(float, orders)])
+    """Matrix i^{-b} J_b(rho_r), one row per order b, from one `bessel.j_orders` call."""
+    phase = np.array([i_power(b) for b in map(float, orders)], dtype=complex)
+    return phase[:, None] * bessel.j_orders(orders, rho)
 
 
 def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray) -> np.ndarray:

@@ -232,3 +232,112 @@ def test_table_is_only_built_below_the_watson_limit():
     table = bessel._table(0.3)
     assert table.shape[0] == bessel.TABLE_DEGREE + 1
     assert not table.flags.writeable
+
+
+# -- j_orders: many orders on one radius grid ----------------------------------------
+
+
+def _regimes(orders, x):
+    """Masks (series, integral, expansion) of j_orders' map, one row per order."""
+    lo = np.array([max(bessel.series_switch_radius(nu), nu / 2.0) for nu in orders])[:, None]
+    cut = np.array([bessel.asymptotic_switch_radius(nu) for nu in orders])[:, None]
+    return x < lo, (x >= lo) & (x < cut), x >= cut
+
+
+KERNEL_ORDERS = np.sort(np.abs(np.arange(-83, 84) + 0.3))   # the criterion 7 flux line
+LANDAU_ORDERS = np.arange(1.0, 501.0, 19.0)
+
+
+@pytest.mark.parametrize("orders,x", [
+    (KERNEL_ORDERS, np.linspace(0.0, 50.0, 200)),
+    (LANDAU_ORDERS, np.linspace(0.0, 520.0, bessel.LANDAU_N_R)),
+], ids=("kernel", "landau"))
+def test_j_orders_matches_j_grid(orders, x):
+    block = bessel.j_orders(orders, x)
+    assert block.shape == (orders.size, x.size)
+    diff = np.abs(block - np.array([bessel.j_grid(nu, x) for nu in orders]))
+    series, middle, expansion = _regimes(orders, x)
+    assert np.all(middle.any(axis=1) | (orders < bessel.TABLE_X_LO))
+    assert np.max(diff[middle]) <= 3e-14
+    assert np.max(diff[series | expansion]) <= 1e-15
+
+
+@pytest.mark.parametrize("nu", (0.3, 8.66, 15.5, 16.4, 17.0, 40.5, 83.3))
+def test_j_orders_matches_mpmath_across_its_switches(nu):
+    edges = [2.0, nu / 2.0, bessel.asymptotic_switch_radius(nu)]
+    x = np.concatenate([e + np.array([-0.5, -1e-9, 0.0, 1e-9, 0.5])
+                        for e in edges if math.isfinite(e) and e > 0.5])
+    x = np.concatenate([x, [bessel.TABLE_X_LO, math.nextafter(bessel.TABLE_X_LO, 0.0)]])
+    with mpmath.workdps(30):
+        ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
+    got = bessel.j_orders([nu], x)[0]
+    assert np.max(np.abs(got - ref)) <= 3e-14
+    # tiny J below nu/2 keep relative accuracy; the series' first term is
+    # formed in logs, so the rounding of lgamma(nu + 1) sets the floor
+    small = x < nu / 2.0
+    assert np.all(np.abs(got - ref)[small] <= 1e-12 * np.abs(ref[small]))
+
+
+def test_j_orders_holdout_falls_back_to_scipy(monkeypatch):
+    from scipy.special import jv
+
+    orders = np.array([0.3, 4.7, 12.5, 20.0, 33.3])
+    x = np.linspace(0.0, 60.0, 241)
+    good = bessel.j_orders(orders, x)
+    _, middle, _ = _regimes(orders, x)
+    exact = jv(orders[:, None], x)
+    assert not np.array_equal(good[middle], exact[middle])   # the integral served
+    real = bessel._bessel_integral
+
+    def wrong_phase(nu, xs):
+        # e^{i nu theta} in E with nu off by 1e-6, as a wrong phase would give
+        return real(np.asarray(nu) + 1e-6, xs)
+
+    monkeypatch.setattr(bessel, "_bessel_integral", wrong_phase)
+    bad = bessel.j_orders(orders, x)
+    assert np.array_equal(bad[middle], exact[middle])
+    assert np.array_equal(bad[~middle], good[~middle])
+
+
+def test_integer_orders_skip_the_t_integral(monkeypatch):
+    seen = []
+    real = bessel._t_integral
+
+    def spy(nus, x, reach):
+        seen.append(nus.copy())
+        return real(nus, x, reach)
+
+    monkeypatch.setattr(bessel, "_t_integral", spy)
+    x = np.linspace(2.0, 30.0, 50)
+    for nu in (1.0, 3.0, 7.0, 16.0):
+        assert np.max(np.abs(bessel._bessel_integral(nu, x) - bessel.j_grid(nu, x))) <= 2e-14
+    assert not seen
+    bessel._bessel_integral(np.array([1.0, 2.5, 3.0]), x)
+    assert [s.tolist() for s in seen] == [[2.5]]
+
+
+def test_j_orders_validation_matches_j_grid():
+    for bad in ([-0.5], [float("nan")], [float("inf")], [1.0, 1 + 1j]):
+        with pytest.raises(UnsupportedOrder):
+            bessel.j_orders(bad, [1.0])
+    with pytest.raises(InvalidInput):
+        bessel.j_orders([0.5], [1.0, -1.0])
+    x = np.array([0.0, 1.0, np.nan, 5.0, 30.0, np.nan, 300.0])
+    orders = [0.0, 2.5, 20.0]
+    block = bessel.j_orders(orders, x)
+    assert np.array_equal(np.isnan(block), np.broadcast_to(np.isnan(x), block.shape))
+    assert np.array_equal(bessel.j_orders([complex(1, 0)], x), bessel.j_orders([1.0], x),
+                          equal_nan=True)
+    assert bessel.j_orders([], x).shape == (0, x.size)
+    assert bessel.j_orders(orders, []).shape == (3, 0)
+
+
+def test_j_orders_sends_the_far_range_to_scipy():
+    # past QUADRATURE_MAX_PANELS panels the quadrature would outgrow its bound
+    from scipy.special import jv
+
+    reach = 2.0 * bessel.QUADRATURE_MAX_PANELS * bessel.QUADRATURE_PANEL_PHASE
+    x = np.array([reach - 40.0, reach, reach + 100.0])
+    got = bessel.j_orders([20.0], x)[0]
+    assert np.array_equal(got[1:], jv(20.0, x[1:]))
+    assert abs(got[0] - jv(20.0, x[0])) <= 3e-14

@@ -40,13 +40,6 @@ def dense_eigh(p, M):
     return np.linalg.eigh(0.5 * (H + H.conj().T))
 
 
-def sin_angle(U1, U2) -> float:
-    """sin of the largest principal angle between two column spans (no arccos
-    round-off floor)."""
-    Q1, Q2 = np.linalg.qr(U1)[0], np.linalg.qr(U2)[0]
-    return float(np.linalg.norm(Q2 - Q1 @ (Q1.conj().T @ Q2), 2))
-
-
 @pytest.mark.parametrize("alpha", [0.3, -0.25, 0.5])
 def test_flux_line_spectrum_is_exact(alpha):
     dec = compute_spectrum(constant_potential(alpha), 48)
@@ -213,6 +206,15 @@ def test_subspace_angle_extremes(rng):
     assert subspace_angle(e1, e2) == pytest.approx(np.pi / 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("angle", [1e-12, 1e-9, 3e-8, 0.4])
+def test_subspace_angle_resolves_small_angles(rng, angle):
+    # two unit vectors at a known angle, in a random unitary frame of C^8
+    Q, _ = np.linalg.qr(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    u = Q[:, :1]
+    v = np.cos(angle) * Q[:, :1] + np.sin(angle) * 1j * Q[:, 1:2]
+    assert subspace_angle(u, 3.0 * v) == pytest.approx(angle, rel=1e-3)
+
+
 def test_truncation_validation(p_cos):
     with pytest.raises(InvalidInput):
         compute_spectrum(p_cos, 0)
@@ -246,7 +248,7 @@ def test_band_route_matches_dense_eigh(request, name, M):
     assert np.all(np.abs(dec.eigenvalues - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
     starts, ends = galerkin._groups(w)   # clusters of the dense spectrum
     for lo, hi in zip(starts, ends):
-        assert sin_angle(dec.coeffs[:, lo:hi], U[:, lo:hi]) <= 1e-10
+        assert subspace_angle(dec.coeffs[:, lo:hi], U[:, lo:hi]) <= 1e-10
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])

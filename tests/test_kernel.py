@@ -261,16 +261,17 @@ def test_gap_scan_matches_the_per_ell_sum(small_gap_grid, gap_case):
 
 def test_gap_scan_evaluates_each_tail_term_once(small_gap_grid, gap_case, monkeypatch):
     calls = []
-    real = bessel.j_grid
+    real = bessel.j_orders
 
-    def spy(nu, r):
-        calls.append(nu)
-        return real(nu, r)
+    def spy(orders, r):
+        calls.append(np.array(orders, dtype=float))
+        return real(orders, r)
 
-    monkeypatch.setattr(bessel, "j_grid", spy)
+    monkeypatch.setattr(bessel, "j_orders", spy)
     rep = difference_scan(gap_case, ells=(4, 8, 16), rho_max=GAP_RHO_MAX)
     pairs = rep.rows[0].terms      # the smallest ell counts every pair
-    assert len(calls) == 2 * pairs
+    assert len(calls) == 1         # one call for every order of the scan ...
+    assert calls[0].size == 2 * pairs == np.unique(calls[0]).size   # ... each order once
 
 
 @pytest.mark.parametrize("ells", [(), (0, 4), (4, 30)])
