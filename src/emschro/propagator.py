@@ -18,6 +18,15 @@ holdout check against direct evaluation (`_interpolated_integrals`).  What
 depends on u0 alone (bandwidth, modal coefficients, kept modes, norms) is
 computed once per sweep of t (`_Source`).
 
+The quadrature itself (`_hankel_integrals`) takes no J value for a far pair
+s r' >= R(beta), where Hankel's expansion holds to 2^-53: both grids are
+uniform, so each term of the expansion, summed over r', is a chirp-z
+transform (Bluestein) in O((n_s + n_r) log) per octave band of r'
+(`_far_field_sum`).  The near pairs stay on `bessel.j_grid`.  Each
+transformed mode is checked against the direct sum (`_direct_sum`) at a few
+far-field s and falls back to it whole on a miss.  The holdouts of both
+routes call the direct sum, never `_hankel_integrals`.
+
 Negative times are handled once, in `_evolve_core`: for real a and A the
 reversed field -A has the eigendata (mu_k, conj psi_k) exactly, so
 u(-t; A) = conj(u(t; -A) applied to conj(u0)) costs a conjugation, not a new
@@ -50,9 +59,14 @@ SRC_SAMPLES_PER_PERIOD = 16  # source grid rule vs fastest integrand oscillation
 SINC_TAPS = 32               # regularised-sinc taps per side, rule s grid -> requested s
 HOLDOUT_POINTS = 16          # requested s evaluated directly to check the interpolant
 HOLDOUT_RTOL = 1e-10         # holdout error allowed, relative to the mode's largest sample
-HANKEL_CHUNK = 384           # output s values per J block in the Hankel quadrature
+HANKEL_CHUNK = 384           # J values per call of the Hankel quadrature: this many times n_src
+FAR_PAIRS_PER_POINT = 32     # far-field pairs per FFT point a band needs to take the transform
+FAR_HOLDOUT_POINTS = 4       # far-field s per transformed mode checked against the direct sum
+FAR_HOLDOUT_RTOL = 1e-12     # their error allowed, relative to the mode's largest value
+AFFINE_ULPS = 4              # ulps a grid may leave its least-squares line by and count as affine
 BANDWIDTH_FLOOR = 1e-6       # radial bandwidth ignores samples below this fraction of the sup
 CN_REFINE = 2                # Crank-Nicolson grid: source spacing divided by this
+_TWO_PI = 8 * np.arctan(np.longdouble(1))
 
 
 def _check_uniform(r: np.ndarray) -> None:
@@ -266,28 +280,186 @@ class _Source:
         return _Source(_flip_eigendata(self.data), replace(self.u0, values=np.conj(self.u0.values)))
 
 
-def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
-                      t: float, s: np.ndarray) -> np.ndarray:
-    """I_k(s) = int J_{beta_k}(s r') e^{i r'^2/4t} a_k(r') r' dr' for each row of a."""
+def _mode_weights(a: np.ndarray, r_src: np.ndarray, t: float):
+    """(row, radii, weights a_k e^{i r'^2/4t} r' dr) on each nonzero row's support."""
     dr = float(r_src[1] - r_src[0])
     chirp = np.exp(1j * r_src ** 2 / (4.0 * t)) * r_src * dr
-    out = np.empty((betas.size, s.size), dtype=complex)
-    for i, b in enumerate(betas):
-        # restrict to the support of this mode's profile
-        mag = np.abs(a[i])
+    for i, row in enumerate(a):
+        mag = np.abs(row)
         peak = float(mag.max()) if mag.size else 0.0
         nz = np.flatnonzero(mag > SUPPORT_RTOL * peak)
-        if nz.size == 0:
-            out[i] = 0.0
-            continue
-        lo, hi = max(int(nz[0]) - 2, 0), min(int(nz[-1]) + 3, r_src.size)
-        w_src = a[i, lo:hi] * chirp[lo:hi]
-        rs = r_src[lo:hi]
-        for c0 in range(0, s.size, HANKEL_CHUNK):
-            sc = s[c0:c0 + HANKEL_CHUNK]
-            J = bessel.j_grid(float(b), np.outer(sc, rs).ravel()).reshape(sc.size, rs.size)
-            out[i, c0:c0 + HANKEL_CHUNK] = J @ w_src
+        if nz.size:
+            lo, hi = max(int(nz[0]) - 2, 0), min(int(nz[-1]) + 3, r_src.size)
+            yield i, r_src[lo:hi], row[lo:hi] * chirp[lo:hi]
+
+
+def _direct_sum(b: float, w: np.ndarray, rs: np.ndarray, s: np.ndarray,
+                blocks=None) -> np.ndarray:
+    """sum_j J_b(s r_j) w_j for every s, by `bessel.j_grid`.
+
+    `blocks` lists (n0, n1, k): s[n0:n1] sums over the first k radii only,
+    and s outside every block gets 0.  Blocks are cut and
+    gathered into `j_grid` calls of at most HANKEL_CHUNK x rs.size values, so
+    a small block shares its call, and J's middle range its table, with others.
+    """
+    limit = HANKEL_CHUNK * rs.size
+    cut = []
+    for n0, n1, k in blocks or [(0, s.size, rs.size)]:
+        step = max(1, limit // k)
+        cut += [(c, min(c + step, n1), k) for c in range(n0, n1, step)]
+    batches, size = [], math.inf
+    for n0, n1, k in cut:
+        if size + (n1 - n0) * k > limit:
+            batches.append([])
+            size = 0
+        batches[-1].append((n0, n1, k))
+        size += (n1 - n0) * k
+    out = np.zeros(s.size, dtype=complex)
+    for batch in batches:
+        at = np.cumsum([0] + [(n1 - n0) * k for n0, n1, k in batch])
+        x = np.empty(at[-1])
+        for (n0, n1, k), a0, a1 in zip(batch, at, at[1:]):
+            np.multiply.outer(s[n0:n1], rs[:k], out=x[a0:a1].reshape(n1 - n0, k))
+        J = bessel.j_grid(b, x)
+        for (n0, n1, k), a0, a1 in zip(batch, at, at[1:]):
+            out[n0:n1] += J[a0:a1].reshape(n1 - n0, k) @ w[:k]
     return out
+
+
+def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
+                      t: float, s: np.ndarray) -> np.ndarray:
+    """I_k(s) = int J_{beta_k}(s r') e^{i r'^2/4t} a_k(r') r' dr' for each row of a.
+
+    Each mode's far-field pairs go through `_far_field_sum` where it accepts
+    them; every other mode is the direct sum.
+    """
+    out = np.zeros((betas.size, s.size), dtype=complex)
+    for i, rs, w in _mode_weights(a, r_src, t):
+        b = float(betas[i])
+        fast = _far_field_sum(b, w, rs, s)
+        out[i] = _direct_sum(b, w, rs, s) if fast is None else fast
+    return out
+
+
+def _direct_integrals_at(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
+                         t: float, s: np.ndarray) -> np.ndarray:
+    """`_hankel_integrals` by the direct sum alone, on any s: the holdouts' reference."""
+    out = np.zeros((betas.size, s.size), dtype=complex)
+    for i, rs, w in _mode_weights(a, r_src, t):
+        out[i] = _direct_sum(float(betas[i]), w, rs, s)
+    return out
+
+
+def _affine(x: np.ndarray):
+    """(x0, step) in long double if x is x0 + j step to AFFINE_ULPS ulps, else None.
+
+    The line is the least-squares fit.  A step from two points carries their
+    rounding, and j times it drifts coherently: on the decay benchmark's ring
+    at t = 0.1 the end-to-end step left 2.5e-14 of max |I|, the fit 9e-15.
+    """
+    if x.size < 2:
+        return None
+    k = np.arange(x.size, dtype=np.longdouble) - (x.size - 1) / 2
+    xl = x.astype(np.longdouble)
+    step = np.sum(k * xl) / np.sum(k * k)
+    x0 = np.mean(xl) - step * ((x.size - 1) / 2)
+    line = x0 + step * np.arange(x.size, dtype=np.longdouble)
+    if np.max(np.abs(x - line)) > AFFINE_ULPS * np.spacing(np.max(np.abs(x))):
+        return None
+    return x0, step
+
+
+def _cis(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase} for long double phases, reduced modulo 2 pi before rounding to double."""
+    return np.exp(1j * np.fmod(phase, _TWO_PI).astype(float))
+
+
+def _fft_size(n: int) -> int:
+    """Smallest 2^k or 3 2^k that is at least n."""
+    p = 1 << max(n - 1, 1).bit_length()
+    return 3 * p // 4 if 3 * p // 4 >= n else p
+
+
+def _chirp_z(g: np.ndarray, r0, dr, s0, ds, n_out: int) -> np.ndarray:
+    """sum_j g[:, j] e^{i (s0 + n ds)(r0 + j dr)} for n < n_out, by Bluestein's algorithm.
+
+    n j = (n^2 + j^2 - (n - j)^2) / 2 turns the sum into a convolution with
+    the chirp e^{-i ds dr k^2 / 2}, done by FFT.  Grid values are long double,
+    and every phase is reduced modulo 2 pi before it is rounded, so no phase
+    loses digits at k of 1e4 and more.
+    """
+    n_in = g.shape[1]
+    size = _fft_size(n_in + n_out - 1)
+    half = ds * dr / 2
+    j = np.arange(n_in, dtype=np.longdouble)
+    n = np.arange(n_out, dtype=np.longdouble)
+    chirp = np.zeros(size, dtype=complex)
+    chirp[:n_out] = _cis(-half * n * n)
+    chirp[size - n_in + 1:] = _cis(-half * j[:0:-1] ** 2)
+    spec = np.fft.fft(g * _cis(s0 * (r0 + j * dr) + half * j * j), size, axis=1)
+    spec *= np.fft.fft(chirp)
+    return np.fft.ifft(spec, axis=1)[:, :n_out] * _cis(n * ds * r0 + half * n * n)
+
+
+def _far_field_sum(b: float, w: np.ndarray, rs: np.ndarray, s: np.ndarray):
+    """`_direct_sum` with its far-field pairs from chirp-z transforms, or None to go direct.
+
+    For x = s r' >= R = `bessel.asymptotic_switch_radius(b)`, Hankel's
+    expansion gives J_b(x) = Re[sqrt(2/pi) e^{-i phi} sum_m i^m a_m
+    x^{-m-1/2} e^{ix}], so per term m the sum over r' is a chirp-z transform
+    of r'^{-m-1/2} w, and the e^{-ix} half the conjugate of the transform of
+    conj(w).  The radii are cut into octaves [e/2, e) down from r'_max; the
+    band whose smallest radius is r_lo takes s >= R / r_lo through the
+    transform, with (r'/r_lo)^{-m-1/2} on its inputs and (s r_lo)^{-m-1/2}
+    on its outputs, so no factor exceeds 1.  Bands stop at the first one whose
+    far pairs do not pay for its FFTs.  The rest, and every radius below the
+    last band, are `_direct_sum`'s near field, which for each s is a prefix
+    of the radii.
+    None where R is infinite, where no band pays, where s or the radii are not
+    affine to round-off, or where the result misses the direct sum at
+    FAR_HOLDOUT_POINTS far-field s by more than FAR_HOLDOUT_RTOL of its
+    largest value.
+    """
+    cut = bessel.asymptotic_switch_radius(b)
+    bands = []   # (first radius index, end index, first far s index)
+    end = rs.size if math.isfinite(cut) else 0
+    while end > 0:
+        start = int(np.searchsorted(rs, rs[-1] / 2.0 ** (len(bands) + 1)))
+        first = int(np.searchsorted(s * rs[start], cut))
+        if (end - start) * (s.size - first) < FAR_PAIRS_PER_POINT * _fft_size(
+                end - start + s.size - first - 1):
+            break
+        bands.append((start, end, first))
+        end = start
+    if not bands:
+        return None
+    r_line, s_line = _affine(rs), _affine(s)
+    if r_line is None or s_line is None:
+        return None
+    n_terms = 2 * bessel.ASYMPTOTIC_PAIRS
+    coef = (np.array(bessel._hankel_coefficients(b, n_terms))
+            * np.array([1, 1j, -1, -1j])[np.arange(n_terms) % 4])
+    # e^{-i phi} / sqrt(2 pi), phi = (2b + 1) pi / 4 reduced exactly modulo 2 pi
+    phase = np.exp(-0.25j * math.pi * math.fmod(2.0 * b + 1.0, 8.0)) / math.sqrt(2.0 * math.pi)
+    powers = np.arange(n_terms)[:, None] + 0.5
+    out = np.zeros(s.size, dtype=complex)
+    for start, end, first in bands:
+        r_lo = rs[start]
+        scaled = (r_lo / rs[start:end]) ** powers * w[start:end]
+        f = _chirp_z(np.concatenate([scaled, np.conj(scaled)]), r_line[0] + start * r_line[1],
+                     r_line[1], s_line[0] + first * s_line[1], s_line[1], s.size - first)
+        terms = coef[:, None] * (1.0 / (s[first:] * r_lo)) ** powers
+        out[first:] += phase * np.sum(terms * f[:n_terms], axis=0)
+        out[first:] += np.conj(phase * np.sum(terms * f[n_terms:], axis=0))
+    # near field: s below the top band's threshold sees every radius, and each
+    # band's threshold cuts the radii seen off at that band's start
+    cuts = [(0, rs.size)] + [(first, start) for start, _, first in bands] + [(s.size, 0)]
+    out += _direct_sum(b, w, rs, s, [(n0, n1, width) for (n0, width), (n1, _) in
+                                     zip(cuts, cuts[1:]) if n1 > n0 and width])
+    far = np.arange(bands[0][2], s.size)
+    hold = far[np.unique(np.linspace(0, far.size - 1, FAR_HOLDOUT_POINTS).round().astype(int))]
+    miss = np.abs(_direct_sum(b, w, rs, s[hold]) - out[hold])
+    return None if np.any(miss > FAR_HOLDOUT_RTOL * np.abs(out).max()) else out
 
 
 def _direct_integrals(betas: np.ndarray, a: np.ndarray, r_full: np.ndarray,
@@ -343,7 +515,7 @@ def _interpolated_integrals(betas: np.ndarray, a: np.ndarray, r_full: np.ndarray
     frac = (betas - n)[:, None]
     I = _sinc_interpolate(I_c / s_c ** frac, h, s, 1.0 - 2.0 * (n % 2)) * s ** frac
     hold = np.unique(np.linspace(0, s.size - 1, HOLDOUT_POINTS).round().astype(int))
-    miss = np.abs(_hankel_integrals(betas, a, r_src, t, s[hold]) - I[:, hold])
+    miss = np.abs(_direct_integrals_at(betas, a, r_src, t, s[hold]) - I[:, hold])
     if np.any(miss > HOLDOUT_RTOL * np.abs(I_c).max(axis=1, keepdims=True)):
         return None
     return r_src, a, I

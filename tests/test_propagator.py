@@ -1,24 +1,30 @@
 """Representation-formula evolution: closed forms, invariances, oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import eval_genlaguerre
 
 from emschro.errors import InsufficientResolution, InvalidInput, ResolutionError
 from emschro.galerkin import compute_spectrum
 from emschro.kernel import ab_eigendata, from_spectrum
-from emschro import propagator
-from emschro.potentials import build_potential
+from emschro import bessel, propagator
+from emschro.potentials import build_potential, theta_grid
 from emschro.propagator import (
     HOLDOUT_POINTS,
     S_OVERSAMPLE,
     SINC_TAPS,
     PolarField,
+    _direct_integrals_at,
+    _direct_sum,
     _evaluation_grid,
+    _far_field_sum,
     _hankel_integrals,
     _interpolated_integrals,
+    _mode_weights,
     _retained_modes,
     _source_stride,
     crank_nicolson_oracle,
@@ -270,15 +276,104 @@ def test_interpolated_integrals_match_direct_evaluation():
         assert np.all(err <= 1e-11 * np.max(np.abs(direct), axis=1))
 
 
+def _ring_weights(t: float, half_offset: bool = False):
+    """(radii, weights, s) of the decay benchmark's ring at t, on the automatic
+    s grid or on the interpolation's half-offset grid."""
+    u0 = gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=4)
+    s = _evaluation_grid(u0, t, radial_bandwidth(u0))
+    if half_offset:
+        h = np.pi / (S_OVERSAMPLE * u0.r[-1])
+        s = h * (np.arange(int(np.ceil(s[-1] / h)) + SINC_TAPS + 1) + 0.5)
+    (_, rs, w), = _mode_weights(u0.values[:, :1].T, u0.r, t)
+    return rs, w, s
+
+
+@pytest.mark.parametrize("half_offset", [False, True])
+@pytest.mark.parametrize("beta", [0.0, 0.28, 0.5, 1.36, 7.5, 16.4])
+def test_far_field_transform_matches_the_direct_sum(beta, half_offset):
+    # integer, R at its floor (half-integer) and the largest order with a finite R
+    rs, w, s = _ring_weights(0.1, half_offset)
+    fast = _far_field_sum(beta, w, rs, s)
+    assert fast is not None
+    direct = _direct_sum(beta, w, rs, s)
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def test_order_without_a_switch_radius_goes_direct():
+    beta = 16.6
+    assert np.isinf(bessel.asymptotic_switch_radius(beta))
+    rs, w, s = _ring_weights(0.1)
+    assert _far_field_sum(beta, w, rs, s) is None
+
+
+def test_far_field_holdout_catches_a_wrong_phase(monkeypatch):
+    t = 0.1
+    u0 = gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=4)
+    s = _evaluation_grid(u0, t, radial_bandwidth(u0))
+    betas, a = np.array([0.28]), u0.values[:, :1].T
+    rs, w, _ = _ring_weights(t)
+    assert _far_field_sum(0.28, w, rs, s) is not None
+    real = propagator._chirp_z
+    monkeypatch.setattr(propagator, "_chirp_z",
+                        lambda *args: real(*args) * np.exp(1e-3j))
+    assert _far_field_sum(0.28, w, rs, s) is None
+    assert np.array_equal(_hankel_integrals(betas, a, u0.r, t, s),
+                          _direct_integrals_at(betas, a, u0.r, t, s))
+
+
+@pytest.mark.parametrize("perturbed", ["r", "s"])
+def test_grid_off_its_line_goes_direct(perturbed):
+    # every other point moved by 1e-10 of a step: uniform to `_check_uniform`,
+    # not affine to round-off
+    t = 0.1
+    u0 = gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=4)
+    r, s = u0.r, _evaluation_grid(u0, t, radial_bandwidth(u0))
+    if perturbed == "r":
+        r = r + 1e-10 * (r[1] - r[0]) * (np.arange(r.size) % 2)
+    else:
+        s = s + 1e-10 * (s[1] - s[0]) * (np.arange(s.size) % 2)
+    propagator._check_uniform(r)
+    propagator._check_uniform(s)
+    betas, a = np.array([0.28]), u0.values[:, :1].T
+    (_, rs, w), = _mode_weights(a, r, t)
+    assert _far_field_sum(0.28, w, rs, s) is None
+    assert np.array_equal(_hankel_integrals(betas, a, r, t, s),
+                          _direct_integrals_at(betas, a, r, t, s))
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.3])
+def test_laguerre_gauss_ring_matches_its_closed_form(beta):
+    # a(r) = r^{b + 2n} e^{-r^2/w^2} psi_k: Gradshteyn-Ryzhik 6.631.10 gives
+    # int_0^inf J_b(s r) r^{b+2n+1} e^{-c r^2} dr = n! s^b e^{-z} L_n^b(z) / (2^{b+1} c^{b+n+1}),
+    # z = s^2 / 4c, with c = 1/w^2 - i/4t.  For t < 0 the mode's factor is i^{+b}.
+    n, width = 6, 1.6
+    data = ab_eigendata(0.3, 8)
+    k = int(np.argmin(np.abs(data.beta - beta)))
+    b = float(data.beta[k])
+    r = uniform_radii(12.0, 37000)
+    psi = data.psi_values(theta_grid(64))[k]
+    u0 = PolarField(r=r, values=np.outer(r ** (b + 2 * n) * np.exp(-(r / width) ** 2), psi))
+    for t in (0.01, -0.01, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 1000.0, -1000.0):
+        u = evolve(data, u0, t)
+        s = u.r / (2.0 * abs(t))
+        c = 1.0 / width ** 2 - 0.25j / t
+        z = s ** 2 / (4.0 * c)
+        radial = (math.factorial(n) * s ** b * np.exp(-z) * eval_genlaguerre(n, b, z)
+                  / (2.0 ** (b + 1.0) * c ** (b + n + 1.0)))
+        radial *= np.exp(1j * u.r ** 2 / (4.0 * t) - 0.5j * np.pi * b * np.sign(t)) / (2j * t)
+        exact = np.outer(radial, psi)
+        assert np.max(np.abs(u.values - exact)) <= 1e-12 * np.max(np.abs(exact)), t
+
+
 def _spy_on_hankel(monkeypatch):
+    """s sizes, in call order, of the quadrature and of the interpolant's holdout."""
     sizes = []
-    real = propagator._hankel_integrals
+    for name in ("_hankel_integrals", "_direct_integrals_at"):
+        def spy(betas, a, r_src, t, s, *args, _real=getattr(propagator, name)):
+            sizes.append(s.size)
+            return _real(betas, a, r_src, t, s, *args)
 
-    def spy(betas, a, r_src, t, s, *args):
-        sizes.append(s.size)
-        return real(betas, a, r_src, t, s, *args)
-
-    monkeypatch.setattr(propagator, "_hankel_integrals", spy)
+        monkeypatch.setattr(propagator, name, spy)
     return sizes
 
 
