@@ -1,22 +1,21 @@
 """Bessel J evaluation for real nonnegative order: one vectorized surface.
 
 `j_grid` evaluates one order on an array of radii, `j_orders` a block of
-orders on one radius grid.  Where `j_grid` switches depends on nu alone:
+orders on one radius grid.  Both switch where nu alone says:
 
-- an ascending power series for x < `series_switch_radius(nu)`: TABLE_X_LO
-  for the orders Hankel's expansion serves (nu < 2K + 1/2), where every term
-  is smaller than the one before, and nu/2 for higher orders, where the
-  series cancels little;
+- an ascending power series for x < `series_switch_radius(nu)` = max(2, nu/2).
+  Below 2 every term is smaller than the one before, and below nu/2 the
+  series cancels little, so J there keeps relative accuracy however small
+  it is;
 - the middle range [`series_switch_radius(nu)`, `asymptotic_switch_radius(nu)`),
-  served by one of two evaluators.  A call with at least TABLE_MIN_VALUES
-  radii there uses a per-order table: pieces of width TABLE_WIDTH, each a
-  degree-TABLE_DEGREE polynomial evaluated by Horner's rule.  Its node values
-  come from Bessel's integral (Watson, sec. 6.2) summed by Gauss-Legendre
-  quadrature, and at build time every piece is checked at one off-node point
-  against that integral.  A smaller call, an order that misses that check,
-  and every order from 2K + 1/2 on (where the range is unbounded) get scipy's
-  Amos backend instead.  The choice reads nu and the count alone, so a value
-  never depends on which tables are cached;
+  whose evaluator the order picks.  `j_grid` uses a per-order table: pieces
+  of width TABLE_WIDTH, each a degree-TABLE_DEGREE polynomial evaluated by
+  Horner's rule.  Its node values come from Bessel's integral (Watson, sec.
+  6.2) summed by Gauss-Legendre quadrature, and at build time every piece is
+  checked at one off-node point against that integral.  An order that misses
+  that check, and every order from 2K + 1/2 on (where the range is
+  unbounded), get scipy's Amos backend instead.  So a value never depends on
+  how many radii share its call or on which tables are cached;
 - Hankel's asymptotic expansion J_nu(x) = sqrt(2/(pi x)) [P cos w - Q sin w],
   w = x - nu pi/2 - pi/4, with ASYMPTOTIC_PAIRS term pairs of P and Q, for
   x >= `asymptotic_switch_radius(nu)`.
@@ -29,14 +28,13 @@ mpmath references every regime stays below 2e-12 absolute error, and both
 middle evaluators below 2e-14 on [2, 12] (tests/test_bessel.py checks this
 across the switches).
 
-`j_orders` keeps that map pair by pair, except that the series reaches nu/2
-for every order, and serves the middle range from Bessel's integral for all
-orders at once.  Both integrands separate in (nu, x), so a block of orders
-is two matrix products, orders x quadrature nodes times nodes x radii.  Its
-accuracy is absolute, about 2e-14 like the table's, where `j_grid`'s scipy
-route is relative.  Each block is checked at a few (order, radius) pairs
-against scipy's `jv` and taken from `jv` on a miss.  The kernel's weights
-and the uniform-order bound scan read `j_orders`.
+`j_orders` keeps that map pair by pair, but serves the middle range from
+Bessel's integral for all orders at once.  Both integrands separate in
+(nu, x), so a block of orders is two matrix products, orders x quadrature
+nodes times nodes x radii.  Its accuracy is absolute, about 2e-14 like the
+table's.  Each block is checked at a few (order, radius) pairs against
+scipy's `jv` and taken from `jv` on a miss.  The kernel's weights and the
+uniform-order bound scan read `j_orders`.
 
 The tail majorant (rho/2)^nu / Gamma(nu+1) (valid for every real rho >= 0 and
 nu >= 0) is what kernel truncation uses.
@@ -61,7 +59,6 @@ ASYMPTOTIC_BLOCK = 16384        # values per block of the expansion and the tabl
 TABLE_X_LO = 2.0                # the table serves [TABLE_X_LO, asymptotic_switch_radius(nu))
 TABLE_WIDTH = 0.25              # width of one table piece
 TABLE_DEGREE = 10               # polynomial degree on each piece
-TABLE_MIN_VALUES = 8192         # in-range radii one call needs to use the table (~ one build's cost)
 TABLE_CACHE_ORDERS = 64         # orders whose tables are kept
 TABLE_CHECK_ATOL = 1e-14        # build check: table against the integral off the nodes
 QUADRATURE_POINTS = 96          # Gauss-Legendre points per panel of Bessel's integral
@@ -90,8 +87,8 @@ def _check_order(nu) -> float:
 
 
 def series_switch_radius(nu: float) -> float:
-    """Radius below which `j_grid` sums the power series: TABLE_X_LO, or nu/2 past 2K + 1/2."""
-    return TABLE_X_LO if 2 * ASYMPTOTIC_PAIRS > nu - 0.5 else nu / 2.0
+    """Radius below which `j_grid` and `j_orders` sum the power series: max(TABLE_X_LO, nu/2)."""
+    return max(TABLE_X_LO, nu / 2.0)
 
 
 def _hankel_coefficients(nu: float, n: int) -> list[float]:
@@ -123,7 +120,11 @@ def asymptotic_switch_radius(nu: float) -> float:
 
 
 def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
-    """J_nu at every radius of an array: series, then table or scipy, then Hankel's expansion."""
+    """J_nu at every radius of an array: series, then the order's table, then Hankel's expansion.
+
+    Orders without a table take scipy's `jv` on the middle range.  A call
+    with no radius there builds no table.
+    """
     nuf = _check_order(nu)
     rr = np.asarray(r, dtype=float)
     if np.any(rr < 0):
@@ -137,7 +138,7 @@ def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
         flat_out[mask] = _series_vec(nuf, flat_r[mask])
     np.greater_equal(flat_r, lo, out=mask)
     mask &= flat_r < cut
-    table = _table(nuf) if np.count_nonzero(mask) >= TABLE_MIN_VALUES else None
+    table = _table(nuf) if np.any(mask) else None
     if table is not None:
         _by_blocks(functools.partial(_table_values, table), flat_r, flat_out,
                    np.flatnonzero(mask))
@@ -155,18 +156,14 @@ def j_grid(nu: float, r: np.ndarray) -> np.ndarray:
 def j_orders(orders, r) -> np.ndarray:
     """J_nu(r) for every order of `orders` and radius of `r`, shape (len(orders), len(r)).
 
-    `j_grid`'s regime map, pair by pair, with the series reaching nu/2 for
-    every order:
-    - one series loop over every pair with r < S(nu) = max(
-      `series_switch_radius(nu)`, nu/2).  Below nu/2 the terms fall from the
-      first, so J there keeps relative accuracy however small it is;
-    - Bessel's integral as matrix products on [S(nu),
+    `j_grid`'s regime map, pair by pair:
+    - one series loop over every pair with r < `series_switch_radius(nu)`;
+    - Bessel's integral as matrix products on [`series_switch_radius(nu)`,
       `asymptotic_switch_radius(nu)`), one block of ORDER_BLOCK orders at a
       time.  Each block is checked at HOLDOUT_PAIRS pairs against scipy's
       `jv`, and on a miss the whole block is taken from `jv`, as are radii
       past QUADRATURE_MAX_PANELS panels.  The integral's accuracy is
-      absolute, about 2e-14; `j_grid` is the route with relative accuracy on
-      the middle range;
+      absolute, about 2e-14;
     - Hankel's expansion with each order's coefficients from
       `asymptotic_switch_radius(nu)` on.
     """
@@ -178,7 +175,7 @@ def j_orders(orders, r) -> np.ndarray:
     if np.any(x < 0):
         raise InvalidInput("arguments must be nonnegative")
     out = np.full((nus.size, x.size), np.nan)   # no regime claims a NaN radius
-    lo = np.array([max(series_switch_radius(nu), 0.5 * nu) for nu in nus])
+    lo = np.array([series_switch_radius(nu) for nu in nus])
     cut = np.array([asymptotic_switch_radius(nu) for nu in nus])
     k, i = np.nonzero(x < lo[:, None])
     if k.size:

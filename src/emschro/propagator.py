@@ -59,7 +59,7 @@ SRC_SAMPLES_PER_PERIOD = 16  # source grid rule vs fastest integrand oscillation
 SINC_TAPS = 32               # regularised-sinc taps per side, rule s grid -> requested s
 HOLDOUT_POINTS = 16          # requested s evaluated directly to check the interpolant
 HOLDOUT_RTOL = 1e-10         # holdout error allowed, relative to the mode's largest sample
-HANKEL_CHUNK = 384           # J values per call of the Hankel quadrature: this many times n_src
+HANKEL_CHUNK = 384           # bounds memory only: J values per j_grid call, times n_src
 FAR_PAIRS_PER_POINT = 32     # far-field pairs per FFT point a band needs to take the transform
 FAR_HOLDOUT_POINTS = 4       # far-field s per transformed mode checked against the direct sum
 FAR_HOLDOUT_RTOL = 1e-12     # their error allowed, relative to the mode's largest value
@@ -298,31 +298,15 @@ def _direct_sum(b: float, w: np.ndarray, rs: np.ndarray, s: np.ndarray,
     """sum_j J_b(s r_j) w_j for every s, by `bessel.j_grid`.
 
     `blocks` lists (n0, n1, k): s[n0:n1] sums over the first k radii only,
-    and s outside every block gets 0.  Blocks are cut and
-    gathered into `j_grid` calls of at most HANKEL_CHUNK x rs.size values, so
-    a small block shares its call, and J's middle range its table, with others.
+    and s outside every block gets 0.  Each block is split into `j_grid`
+    calls of at most HANKEL_CHUNK x rs.size values.
     """
-    limit = HANKEL_CHUNK * rs.size
-    cut = []
-    for n0, n1, k in blocks or [(0, s.size, rs.size)]:
-        step = max(1, limit // k)
-        cut += [(c, min(c + step, n1), k) for c in range(n0, n1, step)]
-    batches, size = [], math.inf
-    for n0, n1, k in cut:
-        if size + (n1 - n0) * k > limit:
-            batches.append([])
-            size = 0
-        batches[-1].append((n0, n1, k))
-        size += (n1 - n0) * k
     out = np.zeros(s.size, dtype=complex)
-    for batch in batches:
-        at = np.cumsum([0] + [(n1 - n0) * k for n0, n1, k in batch])
-        x = np.empty(at[-1])
-        for (n0, n1, k), a0, a1 in zip(batch, at, at[1:]):
-            np.multiply.outer(s[n0:n1], rs[:k], out=x[a0:a1].reshape(n1 - n0, k))
-        J = bessel.j_grid(b, x)
-        for (n0, n1, k), a0, a1 in zip(batch, at, at[1:]):
-            out[n0:n1] += J[a0:a1].reshape(n1 - n0, k) @ w[:k]
+    for n0, n1, k in blocks or [(0, s.size, rs.size)]:
+        step = max(1, HANKEL_CHUNK * rs.size // k)
+        for c in range(n0, n1, step):
+            e = min(c + step, n1)
+            out[c:e] += bessel.j_grid(b, np.multiply.outer(s[c:e], rs[:k])) @ w[:k]
     return out
 
 

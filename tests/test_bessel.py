@@ -45,7 +45,7 @@ def test_grid_matches_scalar_route():
 @settings(max_examples=200, deadline=None)
 @given(nu=st.floats(0.0, 300.0), frac=st.floats(0.0, 1.5))
 def test_grid_matches_mpmath_across_the_switch(nu, frac):
-    # r = frac * switch radius: the series regime below 1, scipy's above
+    # r = frac * switch radius: the series regime below 1, the middle range's above
     r = frac * bessel.series_switch_radius(nu)
     with mpmath.workdps(30):
         ref = float(mpmath.besselj(nu, r))
@@ -54,7 +54,7 @@ def test_grid_matches_mpmath_across_the_switch(nu, frac):
 
 def test_regime_switch_is_seamless():
     cases = [(nu, bessel.series_switch_radius(nu)) for nu in (0.3, 6.0, 28.0)]
-    cases.append((1.3, bessel.asymptotic_switch_radius(1.3)))   # scipy -> Hankel
+    cases.append((1.3, bessel.asymptotic_switch_radius(1.3)))   # table -> Hankel
     for nu, cut in cases:
         r = np.linspace(cut - 0.5, cut + 0.5, 101)
         vals = bessel.j_grid(nu, r)
@@ -118,14 +118,15 @@ def test_order_and_argument_validation():
     with pytest.raises(UnsupportedOrder):
         bessel.j_grid(1 + 1j, 1.0)
     assert bessel.j_grid(complex(1, 0), 1.0) == bessel.j_grid(1.0, 1.0)
-    x = np.linspace(0.0, 40.0, 2 * bessel.TABLE_MIN_VALUES)
-    x[[3, 5000]] = np.nan
-    for call in (x, x[:100]):   # a table call and a small call
-        assert np.all(np.isnan(bessel.j_grid(0.3, call)) == np.isnan(call))
+    x = np.linspace(0.0, 40.0, 401)
+    x[[3, 200]] = np.nan
+    for nu in (0.3, 20.3):   # an order with a table and one without
+        assert np.all(np.isnan(bessel.j_grid(nu, x)) == np.isnan(x))
 
 
 def test_series_refuses_to_stop_short():
-    # r = 2000 needs far more than the 500-term cap; j_grid routes it to scipy
+    # r = 2000 needs far more than the 500-term cap; j_grid hands it to
+    # Hankel's expansion, since it lies past asymptotic_switch_radius(0)
     with pytest.raises(NoConvergence):
         bessel._series_vec(0.0, np.array([2000.0]))
 
@@ -166,13 +167,6 @@ def test_uniform_order_bound_scan():
 TABLE_ORDERS = (0.3, 1.7, 2.7, 8.66, 15.5)
 
 
-def _table_call(nu, x):
-    """j_grid at x inside a call with TABLE_MIN_VALUES radii in the table range."""
-    pad = np.linspace(bessel.TABLE_X_LO, bessel.asymptotic_switch_radius(nu),
-                      bessel.TABLE_MIN_VALUES, endpoint=False)
-    return bessel.j_grid(nu, np.concatenate([x, pad]))[:x.size]
-
-
 @pytest.fixture()
 def fresh_tables():
     bessel._table.cache_clear()
@@ -190,25 +184,35 @@ def test_table_regime_matches_mpmath_across_both_switches(nu):
                         [math.nextafter(lo, 0.0), math.nextafter(cut, 0.0)]])
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
-    assert np.max(np.abs(_table_call(nu, x) - ref)) <= 1e-14
+    assert np.max(np.abs(bessel.j_grid(nu, x) - ref)) <= 1e-14
 
 
-@pytest.mark.parametrize("nu", TABLE_ORDERS)
-def test_table_and_direct_routes_agree(nu):
-    x = np.linspace(bessel.TABLE_X_LO, bessel.asymptotic_switch_radius(nu), 1000,
-                    endpoint=False)
-    assert x.size < bessel.TABLE_MIN_VALUES
-    assert np.max(np.abs(_table_call(nu, x) - bessel.j_grid(nu, x))) <= 2e-14
-
-
-@pytest.mark.parametrize("call", (bessel.j_grid, _table_call), ids=("small", "table"))
 @pytest.mark.parametrize("nu", (0.3, 1.7, 2.7, 8.66))
-def test_decay_sized_calls_escape_the_series_cancellation(nu, call):
-    # the power series would cancel terms of up to ~4e3 here; neither call sums it
+def test_decay_sized_calls_escape_the_series_cancellation(nu):
+    # the power series would cancel terms of up to ~4e3 here; j_grid does not sum it
     x = np.linspace(bessel.TABLE_X_LO, 12.0, 201)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
-    assert np.max(np.abs(call(nu, x) - ref)) <= 2e-14
+    assert np.max(np.abs(bessel.j_grid(nu, x) - ref)) <= 2e-14
+
+
+@pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
+@pytest.mark.parametrize("nu", (0.3, 1.7, 8.66, 15.5, 20.3))
+def test_a_value_does_not_depend_on_how_the_call_is_split(nu, warm, fresh_tables):
+    lo, cut = bessel.series_switch_radius(nu), bessel.asymptotic_switch_radius(nu)
+    top = cut if math.isfinite(cut) else lo + 60.0
+    x = np.concatenate([np.linspace(0.0, lo, 50, endpoint=False),
+                        np.linspace(lo, top, 9000, endpoint=False),
+                        np.linspace(top, top + 200.0, 51)])
+    x = np.random.default_rng(11).permutation(x)
+    built = bessel._table.cache_info().currsize
+    bessel.j_grid(nu, x[(x < lo) | (x >= cut)])
+    assert bessel._table.cache_info().currsize == built   # no middle radius, no table
+    if warm:
+        bessel.j_grid(nu, x)
+    parts = [bessel.j_grid(nu, part) for part in np.split(x, [1, 101])]
+    assert [part.size for part in parts] == [1, 100, 9000]
+    assert np.array_equal(np.concatenate(parts), bessel.j_grid(nu, x))
 
 
 def test_table_build_check_falls_back_to_the_direct_route(monkeypatch, fresh_tables):
@@ -222,7 +226,7 @@ def test_table_build_check_falls_back_to_the_direct_route(monkeypatch, fresh_tab
 
     monkeypatch.setattr(bessel, "_bessel_integral", one_bad_node)
     assert bessel._table(nu) is None
-    x = np.linspace(0.0, 40.0, 3 * bessel.TABLE_MIN_VALUES)
+    x = np.linspace(0.0, 40.0, 3000)
     direct = np.concatenate([bessel.j_grid(nu, part) for part in np.array_split(x, 6)])
     assert np.array_equal(bessel.j_grid(nu, x), direct)
 
@@ -239,7 +243,7 @@ def test_table_is_only_built_below_the_watson_limit():
 
 def _regimes(orders, x):
     """Masks (series, integral, expansion) of j_orders' map, one row per order."""
-    lo = np.array([max(bessel.series_switch_radius(nu), nu / 2.0) for nu in orders])[:, None]
+    lo = np.array([bessel.series_switch_radius(nu) for nu in orders])[:, None]
     cut = np.array([bessel.asymptotic_switch_radius(nu) for nu in orders])[:, None]
     return x < lo, (x >= lo) & (x < cut), x >= cut
 

@@ -299,6 +299,25 @@ def test_far_field_transform_matches_the_direct_sum(beta, half_offset):
     assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
 
 
+def test_direct_sum_calls_stay_within_the_chunk(monkeypatch):
+    rs, w, s = _ring_weights(0.1)
+    sizes = []
+    real = bessel.j_grid
+
+    def spy(nu, x):
+        sizes.append(x.size)
+        return real(nu, x)
+
+    monkeypatch.setattr(bessel, "j_grid", spy)
+    assert _far_field_sum(1.3, w, rs, s) is not None
+    assert len(sizes) > 1 and max(sizes) <= propagator.HANKEL_CHUNK * rs.size
+    # s outside every block gets 0
+    got = _direct_sum(1.3, w, rs, s, [(10, 500, rs.size // 3), (700, 701, rs.size)])
+    inside = np.zeros(s.size, dtype=bool)
+    inside[10:500] = inside[700] = True
+    assert not np.any(got[~inside]) and np.all(got[inside])
+
+
 def test_order_without_a_switch_radius_goes_direct():
     beta = 16.6
     assert np.isinf(bessel.asymptotic_switch_radius(beta))
