@@ -1,7 +1,7 @@
 """Bessel J evaluation for real nonnegative order: one vectorized surface.
 
 `j_grid` evaluates one order on an array of radii, `j_orders` a block of
-orders on one radius grid.  Both switch where nu alone says:
+orders on one radius grid.  Where both switch depends on nu alone:
 
 - an ascending power series for x < `series_switch_radius(nu)` = max(2, nu/2).
   Below 2 every term is smaller than the one before, and below nu/2 the
