@@ -187,13 +187,22 @@ def test_table_regime_matches_mpmath_across_both_switches(nu):
     assert np.max(np.abs(bessel.j_grid(nu, x) - ref)) <= 1e-14
 
 
+def _padded_call(nu, x):
+    """j_grid at x inside a call padded with 9000 more radii in the table range."""
+    pad = np.linspace(bessel.TABLE_X_LO, bessel.asymptotic_switch_radius(nu), 9000,
+                      endpoint=False)
+    return bessel.j_grid(nu, np.concatenate([x, pad]))[:x.size]
+
+
+@pytest.mark.parametrize("call", (bessel.j_grid, _padded_call), ids=("small", "table"))
 @pytest.mark.parametrize("nu", (0.3, 1.7, 2.7, 8.66))
-def test_decay_sized_calls_escape_the_series_cancellation(nu):
-    # the power series would cancel terms of up to ~4e3 here; j_grid does not sum it
+def test_decay_sized_calls_escape_the_series_cancellation(nu, call):
+    # the power series would cancel terms of up to ~4e3 here; j_grid does not sum it,
+    # whether the radii come alone or inside a large call
     x = np.linspace(bessel.TABLE_X_LO, 12.0, 201)
     with mpmath.workdps(30):
         ref = np.array([float(mpmath.besselj(nu, v)) for v in x])
-    assert np.max(np.abs(bessel.j_grid(nu, x) - ref)) <= 2e-14
+    assert np.max(np.abs(call(nu, x) - ref)) <= 2e-14
 
 
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
