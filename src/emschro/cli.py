@@ -73,10 +73,12 @@ def _sidecar(path: str, cfg: ExperimentConfig, thresholds: dict) -> None:
 
 
 def _work_sizes(dec: galerkin.SpectralDecomposition) -> dict:
-    """Sizes of the Galerkin solve and of its certificate's band re-solve, and
-    the solve's error budget: largest residual and eigenvector angle bound."""
+    """Sizes of the Galerkin solve, its widest eigenvector window, the groups
+    that had to widen theirs and its certificate's band re-solve, and the
+    solve's error budget: largest residual and eigenvector angle bound."""
     return {"matrix_dim": 2 * dec.M + 1, "reference_dim": dec.reference_dim,
-            "band_halfwidth": dec.band_halfwidth,
+            "band_halfwidth": dec.band_halfwidth, "eig_window_max": dec.window_max,
+            "eig_window_widened": dec.window_widened,
             "eig_residual_max": dec.residual_max, "eig_angle_bound": dec.angle_bound}
 
 

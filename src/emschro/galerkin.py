@@ -17,12 +17,19 @@ matrix, refuses it past HERMITIAN_DEFECT_TOL and solves the Hermitian part.
 H is banded: its half-width is b = max(bw(a), 2 bw(A)), and it is only ever
 held in LAPACK band storage, in O(M b) memory.  The M solve takes its
 eigenvalues from `eigvals_banded` and its eigenvectors from banded inverse
-iteration (Wilkinson, ch. 9) in O(M^2 b) time: one `zgbtrf` per shift, a
-few `zgbtrs` steps, and a Rayleigh-Ritz step inside each group of close
-eigenvalues (Dhillon, BIT 38, 1998, on clusters).  The reported eigenvalues
-are shifted Rayleigh quotients, accurate relative to |mu| at the bottom of
-the spectrum, and every residual is checked.  The resolution certificate
-re-solves at M' = ceil(1.5 M) for eigenvalues only, also from band storage.
+iteration (Wilkinson, ch. 9): one `zgbtrf` per shift, a few `zgbtrs` steps,
+and a Rayleigh-Ritz step inside each group of close eigenvalues (Dhillon,
+BIT 38, 1998, on clusters).  An eigenvector lives where the diagonal j^2 + ...
+meets its eigenvalue, so each group is solved on the principal submatrix
+over a window of W = WINDOW_MODES modes, those whose diagonal entries lie
+nearest its shift (the +-j lumps), in O(M W b) time for the whole spectrum.
+Only the vector's entries within b of a window edge couple out of it; when
+one exceeds eps ||x||, or a residual fails, the window doubles, up to the
+whole matrix.  The reported eigenvalues are shifted Rayleigh quotients,
+accurate relative to |mu| at the bottom of the spectrum, and every residual
+is that of the zero-padded vector against the whole band, and is checked.
+The resolution certificate re-solves at M' = ceil(1.5 M) for eigenvalues
+only, also from band storage.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigvals_banded
 from scipy.linalg.lapack import zgbtrf, zgbtrs
 
@@ -44,6 +52,7 @@ CLUSTER_GAP = 1e-8
 GROUP_RTOL = 1e-4         # relative eigenvalue gap that separates inverse-iteration groups
 INVERSE_STEPS = 2         # zgbtrs solves per shift
 CHUNK_BYTES = 1 << 20     # stacked band storage per zgbtrf call
+WINDOW_MODES = 80         # modes in a group's first window, doubled while it leaks
 
 
 def _convolved_coeffs(p: AngularPotential) -> tuple[np.ndarray, np.ndarray, int]:
@@ -123,6 +132,9 @@ class SpectralDecomposition:
     Davis-Kahan bound max_k ||r_k|| / gap_k on the angle between x_k and the
     invariant subspace of its eigenvalue group, gap_k being the distance from
     mu_k to the nearest eigenvalue outside the group.
+    `window_max` is the most modes any eigenvalue group was solved over and
+    `window_widened` the number of groups whose first window leaked (both 0
+    for a diagonal matrix, which needs no solve).
     `reference_dim` (2M' + 1) and `band_halfwidth` (b) are the size of that
     re-solve; both are 0 when nothing was certified (a bare `eigensolve`).
     """
@@ -135,6 +147,8 @@ class SpectralDecomposition:
     potential: AngularPotential
     residual_max: float
     angle_bound: float
+    window_max: int
+    window_widened: int
     reference_dim: int = 0
     band_halfwidth: int = 0
 
@@ -184,14 +198,15 @@ def _hermitian_part(ab: np.ndarray) -> tuple[np.ndarray, float]:
     return herm, defect
 
 
-def _shifted_matvec(herm: np.ndarray, X: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Rows (H - s_k) x_k for the rows x_k of X and their shifts s_k."""
-    b = herm.shape[0] // 2
-    n = herm.shape[1]
-    Y = (herm[b].real - shifts[:, None]) * X
+def _shifted_matvec(bands: np.ndarray, X: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Rows (H_k - s_k) x_k for the rows x_k of X, the band matrices H_k in
+    `bands[k]` (general band storage) and their shifts s_k."""
+    b = bands.shape[1] // 2
+    n = bands.shape[2]
+    Y = (bands[:, b].real - shifts[:, None]) * X
     for m in range(1, b + 1):
-        Y[:, m:] += herm[b + m, :n - m] * X[:, :n - m]
-        Y[:, :n - m] += herm[b - m, m:] * X[:, m:]
+        Y[:, m:] += bands[:, b + m, :n - m] * X[:, :n - m]
+        Y[:, :n - m] += bands[:, b - m, m:] * X[:, m:]
     return Y
 
 
@@ -208,20 +223,60 @@ def _groups(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, np.append(starts[1:], w.size)
 
 
-def _inverse_iteration(blocks: np.ndarray, shifts: np.ndarray, start: np.ndarray,
-                       tiny: float) -> np.ndarray:
-    """Rows (H - s_i)^{-INVERSE_STEPS} start_i, normalised after every step.
+def _window_band(herm: np.ndarray, idx: np.ndarray):
+    """H over each window and over the modes within b of it.
 
-    `blocks[i]` holds H transposed, in `zgbtrf` layout with b fill rows in
-    front, for shift i.  The shifted matrices are the blocks of one
+    `idx` holds the sorted modes of one window per row.  Row g of `ext` lists
+    them with every mode within b of them, sorted, then padding above n + b
+    that couples to nothing; `inner` marks the window modes among them.
+    `band[g]` is the principal submatrix of H over ext[g] in general band
+    storage, `closed[g]` the one over the window alone (entries in rows or
+    columns outside it zeroed), and `leaks` marks the window modes that H
+    couples to a mode outside it.
+    """
+    b = herm.shape[0] // 2
+    n = herm.shape[1]
+    mine = np.zeros((idx.shape[0], n + 2 * b), dtype=bool)     # mode j at column j + b
+    mine[np.arange(idx.shape[0])[:, None], idx + b] = True
+    near = mine.copy()
+    for k in range(1, b + 1):
+        near[:, k:] |= mine[:, :-k]
+        near[:, :-k] |= mine[:, k:]
+    near, mine = near[:, b:n + b], mine[:, b:n + b]
+    g, modes = np.nonzero(near)
+    count = np.bincount(g, minlength=idx.shape[0])
+    width = int(count.max())
+    at = np.arange(g.size) - np.repeat(np.cumsum(count) - count, count) + b
+    # b uncoupled pads on either side, so row p = q + m of column q is always there
+    padded = np.repeat([(b + 1) * np.arange(-b, width + b) + np.where(
+        np.arange(width + 2 * b) < b, -b, n + b)], idx.shape[0], axis=0)
+    padded[g, at] = modes
+    flags = np.zeros(padded.shape, dtype=bool)
+    flags[g, at] = mine[near]
+    ext, inner = padded[:, b:width + b], flags[:, b:width + b]
+    rows = sliding_window_view(padded, width, axis=1)         # rows[g, b + m, q] = ext[g, q + m]
+    d = rows - ext[:, None, :]
+    coupled = np.abs(d) <= b
+    band = np.where(coupled, np.take(herm, (d + b) * n + ext[:, None, :], mode="clip"), 0)
+    inside = sliding_window_view(flags, width, axis=1)
+    closed = np.where(inside & inner[:, None, :], band, 0)
+    leaks = inner & np.any(coupled & ~inside, axis=1)
+    return ext, inner, band, closed, leaks
+
+
+def _inverse_iteration(stack: np.ndarray, shifts: np.ndarray, start: np.ndarray,
+                       tiny: float) -> np.ndarray:
+    """Rows (H_i - s_i)^{-INVERSE_STEPS} start_i, normalised after every step.
+
+    `stack[i]` holds H_i transposed, in `zgbtrf` layout with b fill rows in
+    front; it is overwritten.  The shifted matrices are the blocks of one
     block-diagonal band matrix, so one `zgbtrf` and one `zgbtrs` per step
     serve every shift; partial pivoting never leaves a block, whose coupling
     entries are zero.  An exactly singular block (an exact shift) gets the
     pivot `tiny`.
     """
-    c, n, rows = blocks.shape
+    c, n, rows = stack.shape
     b = (rows - 1) // 3
-    stack = blocks.copy()
     stack[:, :, 2 * b] -= shifts[:, None]
     lu, piv, _ = zgbtrf(stack.reshape(c * n, rows).T, b, b, overwrite_ab=True)
     pivots = lu[2 * b]
@@ -234,58 +289,114 @@ def _inverse_iteration(blocks: np.ndarray, shifts: np.ndarray, start: np.ndarray
     return x
 
 
+def _solve_windows(herm, w, first, size, idx, start, tiny, X, mu, res) -> np.ndarray:
+    """Eigenpairs of the groups w[first_g : first_g + size_g], each solved on
+    the principal submatrix over its window idx[g], from the start vectors
+    (over window modes) in the rows of `start`; returns which groups held.
+
+    A held group's zero-padded vectors, shifted Rayleigh quotients (or Ritz
+    values) and residual norms against the whole band go to the rows of X,
+    mu and res.  A group fails to hold when an entry that H couples out of
+    its window exceeds eps ||x||, or a residual exceeds RESOLVE_RTOL
+    max(1, |mu|); the whole matrix, having no outside, always holds.
+    """
+    b = herm.shape[0] // 2
+    n = herm.shape[1]
+    ext, inner, band, closed, leaks = _window_band(herm, idx)
+    offs = np.cumsum(size) - size
+    gs = np.repeat(np.arange(size.size), size)
+    k = np.arange(gs.size) + np.repeat(first - offs, size)   # eigenvalue index of each row
+    sig = w[k]
+    c, W = gs.size, ext.shape[1]
+    stack = np.empty((c, W, 3 * b + 1), dtype=complex)       # fill rows unset
+    stack[:, :, b:] = closed.transpose(0, 2, 1)[gs]
+    x = np.zeros((c, W), dtype=complex)
+    x[inner[gs]] = start[:c].ravel()
+    x = _inverse_iteration(stack, sig, x, tiny)
+    leak = np.max(np.abs(x) * leaks[gs], axis=1) > np.finfo(float).eps
+    bands = band[gs]
+    r = _shifted_matvec(bands, x, sig)
+    q = _real_dot(x, r)
+    m = sig + q
+    r -= q[:, None] * x
+    for g in np.unique(size[size > 1]):
+        rows = offs[size == g][:, None] + np.arange(g)
+        Q = np.linalg.qr(x[rows].transpose(0, 2, 1))[0].transpose(0, 2, 1)
+        Q *= inner[gs[rows]]     # QR leaves round-off outside the window
+        s0 = sig[rows[:, :1]]
+        HQ = _shifted_matvec(bands[rows].reshape(-1, 2 * b + 1, W), Q.reshape(-1, W),
+                             np.repeat(s0, g)).reshape(Q.shape)
+        G = Q.conj() @ HQ.transpose(0, 2, 1)
+        theta, V = np.linalg.eigh(0.5 * (G + G.conj().transpose(0, 2, 1)))
+        Vt = V.transpose(0, 2, 1)
+        x[rows] = Vt @ Q
+        r[rows] = Vt @ HQ - theta[:, :, None] * x[rows]
+        m[rows] = s0 + theta
+    norm = np.sqrt(_real_dot(r, r))
+    bad = (leak | (norm > RESOLVE_RTOL * np.maximum(1.0, np.abs(m)))) & (idx.shape[1] < n)
+    held = np.bincount(gs, weights=bad, minlength=size.size) == 0
+    keep = held[gs]
+    modes = ext[gs]
+    put = keep[:, None] & (modes < n)
+    X[np.broadcast_to(k[:, None], modes.shape)[put], modes[put]] = x[put]
+    mu[k[keep]] = m[keep]
+    res[k[keep]] = norm[keep]
+    return held
+
+
 def _band_eigenpairs(herm: np.ndarray, scale: float):
     """Eigenvalues, eigenvector rows and residual norms of a Hermitian band
-    matrix, with its eigenvalue groups (starts, ends).
+    matrix, its eigenvalue groups (starts, ends), the widest window solved
+    and the number of groups that had to widen theirs.
 
-    Shifts are `eigvals_banded`'s eigenvalues.  Groups are solved in chunks
-    of about CHUNK_BYTES of stacked band storage.  A singleton reports the
-    shifted Rayleigh quotient s + x^H (H - s) x; a group of g vectors is
-    QR-orthonormalised and Rayleigh-Ritz rotated by a g x g `eigh`.
+    Shifts are `eigvals_banded`'s eigenvalues.  Each group is solved on the
+    principal submatrix over its window: the WINDOW_MODES modes whose
+    diagonal entries form the run of the sorted diagonal centred on the
+    group's mean shift (both resonant lumps of a +-j pair).  Groups are
+    solved in chunks of about CHUNK_BYTES of stacked band storage.  A
+    singleton reports the shifted Rayleigh quotient s + x^H (H - s) x; a
+    group of g vectors is QR-orthonormalised and Rayleigh-Ritz rotated by a
+    g x g `eigh`.  A group whose window leaks (`_solve_windows`) is solved
+    again in a window twice as wide, up to the whole matrix.
     """
     b = herm.shape[0] // 2
     n = herm.shape[1]
     w = eigvals_banded(herm[:b + 1], lower=False)
     starts, ends = _groups(w)
-    per_chunk = max(int(np.max(ends - starts)),
-                    min(n, CHUNK_BYTES // ((3 * b + 1) * n * herm.itemsize)))
+    size = ends - starts
+    order = np.argsort(herm[b].real, kind="stable")
+    centre = np.searchsorted(herm[b].real[order], np.add.reduceat(w, starts) / size)
     rng = np.random.default_rng(0)   # fixed start vectors, distinct within a chunk
-    start = rng.standard_normal((per_chunk, n)) + 1j * rng.standard_normal((per_chunk, n))
-    blocks = np.empty((per_chunk, n, 3 * b + 1), dtype=complex)   # fill rows unset
-    blocks[:, :, b:] = herm.T
-    X = np.empty((n, n), dtype=complex)
+    tiny = np.finfo(float).eps * scale
+    X = np.zeros((n, n), dtype=complex)
     mu = np.empty(n)
     res = np.empty(n)
-    first = 0
-    while first < starts.size:
-        last = int(np.searchsorted(starts, starts[first] + per_chunk, side="right"))
-        if ends[last - 1] - starts[first] > per_chunk:
-            last -= 1
-        lo, hi = starts[first], ends[last - 1]
-        sig = w[lo:hi]
-        x = _inverse_iteration(blocks[:hi - lo], sig, start[:hi - lo].copy(),
-                               np.finfo(float).eps * scale)
-        r = _shifted_matvec(herm, x, sig)
-        q = _real_dot(x, r)
-        m = sig + q
-        r -= q[:, None] * x
-        size = ends[first:last] - starts[first:last]
-        for g in np.unique(size[size > 1]):
-            rows = (starts[first:last][size == g] - lo)[:, None] + np.arange(g)
-            Q = np.linalg.qr(x[rows].transpose(0, 2, 1))[0].transpose(0, 2, 1)
-            s0 = sig[rows[:, :1]]
-            HQ = _shifted_matvec(herm, Q.reshape(-1, n), np.repeat(s0, g)).reshape(Q.shape)
-            G = Q.conj() @ HQ.transpose(0, 2, 1)
-            theta, W = np.linalg.eigh(0.5 * (G + G.conj().transpose(0, 2, 1)))
-            Wt = W.transpose(0, 2, 1)
-            x[rows] = Wt @ Q
-            r[rows] = Wt @ HQ - theta[:, :, None] * x[rows]
-            m[rows] = s0 + theta
-        X[lo:hi] = x
-        mu[lo:hi] = m
-        res[lo:hi] = np.sqrt(_real_dot(r, r))
-        first = last
-    return mu, X, res, starts, ends
+    pending = np.arange(starts.size)
+    width, widened = min(n, WINDOW_MODES), None
+    while True:
+        fits = size[pending] <= width
+        todo, retry = pending[fits], [pending[~fits]]
+        per_chunk = max(int(np.max(size)), CHUNK_BYTES // (
+            (3 * b + 1) * min(n, width + 4 * b) * herm.itemsize))
+        start = rng.standard_normal((per_chunk, width)) + 1j * rng.standard_normal(
+            (per_chunk, width))
+        cum = np.cumsum(size[todo])
+        first = 0
+        while first < todo.size:
+            last = int(np.searchsorted(cum, cum[first] - size[todo[first]] + per_chunk,
+                                       side="right"))
+            chunk = todo[first:last]
+            lo = np.clip(centre[chunk] - width // 2, 0, n - width)
+            idx = np.sort(order[lo[:, None] + np.arange(width)], axis=1)
+            held = _solve_windows(herm, w, starts[chunk], size[chunk], idx, start, tiny,
+                                  X, mu, res)
+            retry.append(chunk[~held])
+            first = last
+        pending = np.concatenate(retry)
+        widened = pending.size if widened is None else widened
+        if not pending.size:
+            return mu, X, res, starts, ends, width, widened
+        width = min(n, 2 * width)
 
 
 def _angle_bound(mu: np.ndarray, res: np.ndarray, starts: np.ndarray,
@@ -301,17 +412,21 @@ def _angle_bound(mu: np.ndarray, res: np.ndarray, starts: np.ndarray,
 def eigensolve(ab: np.ndarray, potential: AngularPotential) -> SpectralDecomposition:
     """Eigenpairs of a band matrix in general band storage, with phase fixing.
 
-    The matrix is checked once, as given: its defect max |H - H^H| is refused
-    past HERMITIAN_DEFECT_TOL of max(1, max |H|) and reported, and the
-    Hermitian part 0.5 (H + H^H) is solved.  A diagonal matrix has the unit
-    vectors as eigenvectors; otherwise vectors come from banded inverse
-    iteration (`_band_eigenpairs`).  A residual ||H x - mu x|| above
-    RESOLVE_RTOL max(1, |mu|) is refused with NoConvergence.  Nothing is
-    certified: `resolved_count` is 0.
+    The matrix is checked once, as given: a half-width b >= 2M + 1 is refused
+    with InvalidInput and a non-finite entry with InvalidMatrix; its defect
+    max |H - H^H| is refused past HERMITIAN_DEFECT_TOL of max(1, max |H|) and
+    reported, and the Hermitian part 0.5 (H + H^H) is solved.  A diagonal
+    matrix has the unit vectors as eigenvectors; otherwise vectors come from
+    windowed banded inverse iteration (`_band_eigenpairs`).  A residual
+    ||H x - mu x|| above RESOLVE_RTOL max(1, |mu|) is refused with
+    NoConvergence.  Nothing is certified: `resolved_count` is 0.
     """
     ab = np.asarray(ab)
-    if ab.ndim != 2 or ab.shape[0] % 2 != 1 or ab.shape[1] % 2 != 1:
-        raise InvalidInput("band storage must have 2b + 1 rows and 2M + 1 columns")
+    if (ab.ndim != 2 or ab.shape[0] % 2 != 1 or ab.shape[1] % 2 != 1
+            or ab.shape[0] > 2 * ab.shape[1] - 1):
+        raise InvalidInput("band storage must have 2b + 1 rows and 2M + 1 columns, b <= 2M")
+    if not np.all(np.isfinite(ab)):
+        raise InvalidMatrix("band storage has a non-finite entry")
     herm, defect = _hermitian_part(ab)
     scale = max(1.0, float(np.max(np.abs(ab))))
     if defect > HERMITIAN_DEFECT_TOL * scale:
@@ -319,7 +434,7 @@ def eigensolve(ab: np.ndarray, potential: AngularPotential) -> SpectralDecomposi
     b = ab.shape[0] // 2
     n = ab.shape[1]
     if np.any(herm[:b]):
-        mu, X, res, starts, ends = _band_eigenpairs(herm, scale)
+        mu, X, res, starts, ends, window, widened = _band_eigenpairs(herm, scale)
         bad = res > RESOLVE_RTOL * np.maximum(1.0, np.abs(mu))
         if np.any(bad):
             k = int(np.argmax(bad))
@@ -332,11 +447,12 @@ def eigensolve(ab: np.ndarray, potential: AngularPotential) -> SpectralDecomposi
         mu = herm[b].real[order]
         U = np.zeros((n, n), dtype=complex)
         U[order, np.arange(n)] = 1.0
-        residual_max, angle = 0.0, 0.0
+        residual_max, angle, window, widened = 0.0, 0.0, 0, 0
     return SpectralDecomposition(
         eigenvalues=mu, coeffs=U, M=n // 2, resolved_count=0,
         hermitian_defect=defect, potential=potential,
         residual_max=residual_max, angle_bound=angle,
+        window_max=window, window_widened=widened,
     )
 
 

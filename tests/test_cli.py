@@ -76,8 +76,10 @@ def test_sidecars_record_galerkin_work_sizes(ab_config, tmp_path):
         assert cli.main([command, ab_config]) == 0
         meta = json.loads((tmp_path / "out" / f"{table}.meta.json").read_text())
         sizes = {k: meta["thresholds"][k]
-                 for k in ("matrix_dim", "reference_dim", "band_halfwidth")}
-        assert sizes == {"matrix_dim": 65, "reference_dim": 97, "band_halfwidth": 0}
+                 for k in ("matrix_dim", "reference_dim", "band_halfwidth",
+                           "eig_window_max", "eig_window_widened")}
+        assert sizes == {"matrix_dim": 65, "reference_dim": 97, "band_halfwidth": 0,
+                         "eig_window_max": 0, "eig_window_widened": 0}
 
 
 def test_sidecars_record_the_eigensolve_error_budget(tmp_path):
@@ -103,6 +105,8 @@ def test_sidecars_record_the_eigensolve_error_budget(tmp_path):
         if command in ("spectrum", "wkb", "kernel-scan"):
             assert (budget["eig_residual_max"], budget["eig_angle_bound"]) == (
                 dec.residual_max, dec.angle_bound)
+            assert (budget["eig_window_max"], budget["eig_window_widened"]) == (
+                dec.window_max, dec.window_widened) == (65, 0)
 
 
 def test_kernel_scan_command(ab_config, tmp_path):

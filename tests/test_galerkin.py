@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emschro import galerkin
-from emschro.errors import InvalidInput, NoConvergence
+from emschro.errors import InvalidInput, InvalidMatrix, NoConvergence
 from emschro.galerkin import (
     RESOLVE_FACTOR,
     RESOLVE_RTOL,
@@ -237,18 +237,47 @@ def _flux(alpha):
     return constant_potential(alpha)
 
 
-@pytest.mark.parametrize("M", [24, 96])
-@pytest.mark.parametrize("name", ["p_cos", "p_mixed", "p_even_electric", "p_ab",
-                                  "flux_0", "flux_half"])
-def test_band_route_matches_dense_eigh(request, name, M):
-    p = {"flux_0": lambda: _flux(0.0), "flux_half": lambda: _flux(0.5)}.get(
-        name, lambda: request.getfixturevalue(name))()
-    dec = eigensolve(assemble_matrix(p, M), p)
+def _assert_matches_dense_eigh(dec, p, M):
     w, U = dense_eigh(p, M)
     assert np.all(np.abs(dec.eigenvalues - w) <= 1e-12 * np.maximum(1.0, np.abs(w)))
     starts, ends = galerkin._groups(w)   # clusters of the dense spectrum
     for lo, hi in zip(starts, ends):
         assert subspace_angle(dec.coeffs[:, lo:hi], U[:, lo:hi]) <= 1e-10
+
+
+@pytest.mark.parametrize("name, M", [
+    (name, M) for M in (24, 96)
+    for name in ("p_cos", "p_mixed", "p_even_electric", "p_ab", "flux_0", "flux_half")
+] + [("p_mixed", 320), ("p_even_electric", 320)])
+def test_band_route_matches_dense_eigh(request, name, M):
+    p = {"flux_0": lambda: _flux(0.0), "flux_half": lambda: _flux(0.5)}.get(
+        name, lambda: request.getfixturevalue(name))()
+    dec = eigensolve(assemble_matrix(p, M), p)
+    _assert_matches_dense_eigh(dec, p, M)
+    if M == 320:   # every group held in its first window
+        assert (dec.window_max, dec.window_widened) == (galerkin.WINDOW_MODES, 0)
+
+
+def test_strongly_coupled_eigenvectors_widen_their_windows():
+    # A = 0.3 + 6 cos(theta): the gauge factor e^{-i P} spreads every
+    # eigenvector over about 2 x 6 + 30 modes per lump, past the first window
+    p = build_potential(a_coeffs=[0.5, 0.4, 0.5], A_coeffs=[3.0, 0.3, 3.0])
+    dec = eigensolve(assemble_matrix(p, 96), p)
+    assert dec.window_widened > 0
+    assert dec.window_max > galerkin.WINDOW_MODES
+    _assert_matches_dense_eigh(dec, p, 96)
+
+
+def test_eigensolve_refuses_a_non_finite_entry(p_mixed):
+    ab = assemble_matrix(p_mixed, 8)
+    ab[0, -1] = np.nan
+    with pytest.raises(InvalidMatrix):
+        eigensolve(ab, p_mixed)
+
+
+def test_eigensolve_refuses_a_band_wider_than_the_matrix(p_mixed):
+    with pytest.raises(InvalidInput):
+        eigensolve(np.eye(7, 3, dtype=complex), p_mixed)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
