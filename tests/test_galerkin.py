@@ -268,6 +268,26 @@ def test_strongly_coupled_eigenvectors_widen_their_windows():
     _assert_matches_dense_eigh(dec, p, 96)
 
 
+def test_a_group_larger_than_a_window_is_solved_whole(p_mixed):
+    # eigenvalues 1 + O(1e-7): one group of all 201, wider than any window but the whole
+    n, b = 201, 2
+    rng = np.random.default_rng(5)
+    ab = np.zeros((2 * b + 1, n), dtype=complex)
+    ab[b] = 1.0 + 1e-7 * rng.standard_normal(n)
+    for m in range(1, b + 1):
+        ab[b + m, :n - m] = 1e-8 * (rng.standard_normal(n - m) + 1j * rng.standard_normal(n - m))
+        ab[b - m, m:] = ab[b + m, :n - m].conj()
+    dec = eigensolve(ab, p_mixed)
+    assert (dec.window_max, dec.window_widened) == (n, 1)
+    H = np.zeros((n, n), dtype=complex)
+    for m in range(-b, b + 1):
+        H += np.diag(ab[b + m, max(0, -m):n - max(0, m)], -m)
+    assert np.all(np.abs(dec.eigenvalues - np.linalg.eigvalsh(H)) <= 1e-12)
+    U = dec.coeffs
+    assert np.max(np.abs(U.conj().T @ U - np.eye(n))) <= 1e-13
+    assert np.max(np.linalg.norm(H @ U - U * dec.eigenvalues, axis=0)) <= 1e-13
+
+
 def test_eigensolve_refuses_a_non_finite_entry(p_mixed):
     ab = assemble_matrix(p_mixed, 8)
     ab[0, -1] = np.nan
