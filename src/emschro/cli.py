@@ -73,13 +73,19 @@ def _sidecar(path: str, cfg: ExperimentConfig, thresholds: dict) -> None:
 
 
 def _work_sizes(dec: galerkin.SpectralDecomposition) -> dict:
-    """Sizes of the Galerkin solve, its widest eigenvector window, the groups
-    that had to widen theirs and its certificate's band re-solve, and the
-    solve's error budget: largest residual and eigenvector angle bound."""
-    return {"matrix_dim": 2 * dec.M + 1, "reference_dim": dec.reference_dim,
-            "band_halfwidth": dec.band_halfwidth, "eig_window_max": dec.window_max,
+    """Sizes of the Galerkin solve, its widest eigenvector window and the
+    groups that had to widen theirs, and the error budget: largest residual,
+    eigenvector angle bound, largest certified enclosure radius over max(1,
+    |mu|) (0 when none is certified) and the outer floor's distance above the
+    last certified eigenvalue (None when none is certified)."""
+    k = dec.resolved_count
+    mu = dec.eigenvalues[:k]
+    return {"matrix_dim": 2 * dec.M + 1, "eig_window_max": dec.window_max,
             "eig_window_widened": dec.window_widened,
-            "eig_residual_max": dec.residual_max, "eig_angle_bound": dec.angle_bound}
+            "eig_residual_max": dec.residual_max, "eig_angle_bound": dec.angle_bound,
+            "eig_bound_max": float(np.max(dec.radius[:k] / np.maximum(1.0, np.abs(mu)),
+                                          initial=0.0)),
+            "outer_floor_gap": dec.outer_floor - float(mu[-1]) if k else None}
 
 
 def _out(cfg: ExperimentConfig, override: str | None, name: str) -> str:
@@ -177,7 +183,8 @@ def cmd_wkb(cfg: ExperimentConfig, out_dir: str | None) -> int:
     dec = galerkin.compute_spectrum(p, sec["M"])
     if dec.resolved_count == 0:
         raise InsufficientResolution(
-            f"no eigenvalue certified at M = {sec['M']}; increase M")
+            f"no eigenvalue certified at M = {sec['M']}: {dec.certificate_limit()}; "
+            "increase M")
     mu = dec.eigenvalues[:dec.resolved_count]
     rows = []
     worst = 0.0

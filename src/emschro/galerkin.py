@@ -28,8 +28,18 @@ one exceeds eps ||x||, or a residual fails, the window doubles, up to the
 whole matrix.  The reported eigenvalues are shifted Rayleigh quotients,
 accurate relative to |mu| at the bottom of the spectrum, and every residual
 is that of the zero-padded vector against the whole band, and is checked.
-The resolution certificate re-solves at M' = ceil(1.5 M) for eigenvalues
-only, also from band storage.
+
+The resolution certificate encloses each eigenvalue lambda_k of the infinite
+operator H from data the M solve already has.  Above: lambda_k(H) <=
+lambda_k(H_M) <= mu_k + rho_k (min-max), rho_k being the residual of mu_k's
+group plus a rounding allowance.  Below: while the outer block (|j| > M)
+exceeds a level l, that is below the outer floor, Haynsworth's inertia
+additivity counts the eigenvalues of H below l as those of its Schur
+complement onto the inner modes.  That complement is at least the n x n
+matrix diag(mu - rho) minus the vectors' coupling into the outer modes
+through a bound W(l) on the outer resolvent (`_enclosures`).  The certified
+run is the leading eigenvalues below the floor whose enclosures are within
+RESOLVE_RTOL max(1, |mu|).
 """
 
 from __future__ import annotations
@@ -46,13 +56,13 @@ from .errors import InsufficientResolution, InvalidInput, InvalidMatrix, NoConve
 from .potentials import AngularPotential, power_of_two_at_least, theta_grid
 
 HERMITIAN_DEFECT_TOL = 1e-12
-RESOLVE_FACTOR = 1.5
 RESOLVE_RTOL = 1e-9
 CLUSTER_GAP = 1e-8
 GROUP_RTOL = 1e-4         # relative eigenvalue gap that separates inverse-iteration groups
 INVERSE_STEPS = 2         # zgbtrs solves per shift
 CHUNK_BYTES = 1 << 20     # stacked band storage per zgbtrf call
 WINDOW_MODES = 80         # modes in a group's first window, doubled while it leaks
+OUTER_MODES = 24          # outer modes per side held exactly in the certificate
 
 
 def _convolved_coeffs(p: AngularPotential) -> tuple[np.ndarray, np.ndarray, int]:
@@ -111,12 +121,6 @@ def _band(p: AngularPotential, M: int) -> np.ndarray:
     return ab
 
 
-def _upper_band(p: AngularPotential, M: int) -> np.ndarray:
-    """The M matrix, as assembled, in LAPACK upper band storage, shape (b + 1, 2M + 1)."""
-    ab = _band(p, M)
-    return ab[:ab.shape[0] // 2 + 1]
-
-
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenpairs of the angular operator at truncation M.
@@ -124,8 +128,13 @@ class SpectralDecomposition:
     `coeffs[:, k]` holds the Fourier coefficients (modes -M..M) of the k-th
     eigenfunction in the orthonormal basis e^{i j theta} / sqrt(2 pi); columns
     are L^2-orthonormal and phase-fixed so the largest-modulus coefficient is
-    real positive.  The leading `resolved_count` eigenvalues agree with the
-    eigenvalues of the M' = ceil(1.5 M) matrix to relative 1e-9.
+    real positive.  `radius[k]` is the width of an enclosure of the k-th
+    eigenvalue that also holds mu_k, so |lambda_k - mu_k| <= radius[k]: of
+    the operator (`compute_spectrum`, inf at or above `outer_floor`, a lower
+    bound of the spectrum of the modes |j| > M) or, from a bare `eigensolve`,
+    of the matrix solved (`outer_floor` is then inf).  The leading
+    `resolved_count` eigenvalues are below the floor and have radii within
+    RESOLVE_RTOL max(1, |mu_k|); 0 from a bare `eigensolve`.
     `hermitian_defect` is max |H - H^H| of the assembled M matrix, and
     `potential` the pair (a, A) the matrix was assembled from.
     `residual_max` is the largest ||H x_k - mu_k x_k|| and `angle_bound` the
@@ -135,8 +144,6 @@ class SpectralDecomposition:
     `window_max` is the most modes any eigenvalue group was solved over and
     `window_widened` the number of groups whose first window leaked (both 0
     for a diagonal matrix, which needs no solve).
-    `reference_dim` (2M' + 1) and `band_halfwidth` (b) are the size of that
-    re-solve; both are 0 when nothing was certified (a bare `eigensolve`).
     """
 
     eigenvalues: np.ndarray = field(repr=False)
@@ -149,12 +156,26 @@ class SpectralDecomposition:
     angle_bound: float
     window_max: int
     window_widened: int
-    reference_dim: int = 0
-    band_halfwidth: int = 0
+    radius: np.ndarray = field(repr=False)
+    outer_floor: float
 
     @property
     def modes(self) -> np.ndarray:
         return np.arange(-self.M, self.M + 1)
+
+    def certificate_limit(self) -> str:
+        """What ends the certified run: the first eigenvalue past it, and the
+        bound it fails."""
+        k = self.resolved_count
+        if k == self.eigenvalues.size:
+            return f"all {k} eigenvalues certified"
+        mu = float(self.eigenvalues[k])
+        if mu >= self.outer_floor:
+            return (f"eigenvalue {k + 1} (mu = {mu:.6g}) is at or above the outer "
+                    f"floor {self.outer_floor:.6g}")
+        return (f"eigenvalue {k + 1} (mu = {mu:.6g}) has enclosure radius "
+                f"{self.radius[k]:.2e} > {RESOLVE_RTOL:g} max(1, |mu|) = "
+                f"{RESOLVE_RTOL * max(1.0, abs(mu)):.2e}")
 
     def eigenfunctions_on_grid(self, n: int, columns=None) -> np.ndarray:
         """(n, n_eig) samples of the eigenfunctions on theta_grid(n): all of
@@ -419,7 +440,8 @@ def eigensolve(ab: np.ndarray, potential: AngularPotential) -> SpectralDecomposi
     matrix has the unit vectors as eigenvectors; otherwise vectors come from
     windowed banded inverse iteration (`_band_eigenpairs`).  A residual
     ||H x - mu x|| above RESOLVE_RTOL max(1, |mu|) is refused with
-    NoConvergence.  Nothing is certified: `resolved_count` is 0.
+    NoConvergence.  Nothing is certified: `resolved_count` is 0, and `radius`
+    encloses the matrix's eigenvalues (`_inner_radius`).
     """
     ab = np.asarray(ab)
     if (ab.ndim != 2 or ab.shape[0] % 2 != 1 or ab.shape[1] % 2 != 1
@@ -448,28 +470,131 @@ def eigensolve(ab: np.ndarray, potential: AngularPotential) -> SpectralDecomposi
         U = np.zeros((n, n), dtype=complex)
         U[order, np.arange(n)] = 1.0
         residual_max, angle, window, widened = 0.0, 0.0, 0, 0
+        res, starts, ends = np.zeros(n), np.arange(n), np.arange(1, n + 1)
     return SpectralDecomposition(
         eigenvalues=mu, coeffs=U, M=n // 2, resolved_count=0,
         hermitian_defect=defect, potential=potential,
         residual_max=residual_max, angle_bound=angle,
         window_max=window, window_widened=widened,
+        radius=2.0 * _inner_radius(herm, mu, res, starts, ends), outer_floor=math.inf,
     )
+
+
+def _inner_radius(herm: np.ndarray, mu: np.ndarray, res: np.ndarray, starts: np.ndarray,
+                  ends: np.ndarray) -> np.ndarray:
+    """rho_k with |lambda_k(H_M) - mu_k| <= rho_k.
+
+    It is the Frobenius norm of the residuals of mu_k's group: by Kahan's
+    bound for a Rayleigh-Ritz group, as many eigenvalues as vectors lie that
+    close to the group's values, sorted alike.  The groups are GROUP_RTOL
+    apart, and every residual is within RESOLVE_RTOL, so their intervals are
+    disjoint and each bound falls on its own index (a diagonal matrix's
+    values are its eigenvalues).  A rounding allowance
+    (2b + 8) eps (3 |mu_k| + ||r_k|| + 2 h) covers the residual's evaluation
+    and the assembly, h being the largest off-diagonal row sum of |H|, since
+    || |H| |x_k| || <= |mu_k| + ||r_k|| + 2 h.
+    """
+    b = herm.shape[0] // 2
+    size = ends - starts
+    group = np.repeat(np.sqrt(np.add.reduceat(res ** 2, starts)), size)
+    h = float(np.max(np.sum(np.abs(herm), axis=0) - np.abs(herm[b])))
+    eps = np.finfo(float).eps
+    return group + (2 * b + 8) * eps * (3.0 * np.abs(mu) + res + 2.0 * h)
 
 
 def compute_spectrum(p: AngularPotential, M: int) -> SpectralDecomposition:
     """Assemble and solve at M, then certify the leading eigenvalues.
 
-    The certificate re-solves at M' = ceil(RESOLVE_FACTOR M) for eigenvalues
-    only, from band storage, and counts the leading eigenvalues that match it
-    to relative `RESOLVE_RTOL`.
+    `_enclosures` bounds every eigenvalue of the operator from the M solve
+    alone; the certified run is the leading eigenvalues below the outer floor
+    whose enclosures are within `RESOLVE_RTOL` max(1, |mu|).
     """
     dec = eigensolve(assemble_matrix(p, M), p)
-    ab = _upper_band(p, int(math.ceil(RESOLVE_FACTOR * M)))
-    w = dec.eigenvalues
-    ref = eigvals_banded(ab, lower=False)[:w.size]
-    match = np.abs(w - ref) <= RESOLVE_RTOL * np.maximum(1.0, np.abs(ref))
-    return replace(dec, resolved_count=int(np.cumprod(match).sum()),
-                   reference_dim=ab.shape[1], band_halfwidth=ab.shape[0] - 1)
+    radius, floor = _enclosures(dec)
+    ok = radius <= RESOLVE_RTOL * np.maximum(1.0, np.abs(dec.eigenvalues))
+    return replace(dec, resolved_count=int(np.cumprod(ok).sum()), radius=radius,
+                   outer_floor=floor)
+
+
+def _operator_block(V: np.ndarray, A: np.ndarray, bw: int, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """The operator's entries H[j', j] = j^2 delta + V_{j'-j} + 2 j A_{j'-j}
+    over the modes `rows` x `cols`, as `_diagonals` assembles them."""
+    d = rows[:, None] - cols[None, :]
+    k = np.clip(d + bw, 0, 2 * bw)
+    H = np.where(np.abs(d) <= bw, V[k] + 2.0 * cols * A[k], 0.0)
+    return H + np.where(d == 0, cols.astype(float) ** 2, 0.0)
+
+
+def _enclosures(dec: SpectralDecomposition) -> tuple[np.ndarray, float]:
+    """Radii of enclosures [lower_k, mu_k + rho_k] of the operator's
+    eigenvalues lambda_k (inf at or above the outer floor q), and q.
+
+    The upper end is min-max, lambda_k(H) <= lambda_k(H_M) <= mu_k + rho_k,
+    rho_k being half the in-band radius `eigensolve` reports.  For the lower
+    end, split the modes into the inner ones I (|j| <= M), the near outer ones
+    N (M < |j| <= M + OUTER_MODES, both sides) and the far ones F:
+    - on F, Gershgorin's rows give H_F >= q2 (the diagonal grows like j^2,
+      the row sums like |j|);
+    - with C2 the coupling from N to F and c the smallest diagonal entry of
+      H_N, the outer block H_{N+F} - l is positive, and the inverse of its
+      Schur complement onto N at most W(l) = (Ht - l)^-1, whenever l is below
+      q = the smallest eigenvalue of Ht = H_N - C2^H C2 / (q2 - c) (less its
+      rounding), for then l < c < q2;
+    - by Haynsworth's inertia additivity, H then has no more eigenvalues
+      below l than F(l) = diag(mu - rho) - R^H W(l) R has, R = C X being the
+      vectors' residual rows on N (C couples I to N; the vectors X stand in
+      for H_M's eigenvectors, which they are to within `angle_bound`).
+    F decreases in l, so lambda_k >= lambda_k(F(l)) for any l in [mu_k, q).
+    Only the vectors S whose residual rows exceed sqrt(eps) enter F densely;
+    the rest enter through R^H W R <= (1 + t) R_S^H W R_S + (1 + 1/t) ||W||
+    ||R_rest||_F^2, t = eps^(1/4).  The dense S block is solved once per level
+    l: at mu_s for each s in S below q, and at the top mu below q; each
+    serves the k from the previous level up to its own.
+    """
+    p, M, mu, U = dec.potential, dec.M, dec.eigenvalues, dec.coeffs
+    rho = 0.5 * dec.radius
+    V, A, bw = _convolved_coeffs(p)
+    L = max(OUTER_MODES, bw)
+    eps = np.finfo(float).eps
+    near = np.concatenate((np.arange(-M - L, -M), np.arange(M + 1, M + L + 1)))
+    far = np.concatenate((np.arange(-M - L - bw, -M - L), np.arange(M + L + 1, M + L + bw + 1)))
+    a_off = float(np.sum(np.abs(A))) - abs(A[bw])
+    v_off = float(np.sum(np.abs(V))) - abs(V[bw])
+    A0, V0 = A[bw].real, V[bw].real
+    q2 = math.inf
+    for side in (1.0, -1.0):   # min over |j| > M + L of the row's Gershgorin floor
+        j = max(M + L + 1.0, a_off - side * A0)
+        q2 = min(q2, j * j + 2.0 * j * (side * A0 - a_off) + V0 - v_off - 2.0 * bw * a_off)
+    HN = _operator_block(V, A, bw, near, near)
+    c = float(np.min(HN.diagonal().real))
+    if not c < q2:
+        return np.full(mu.size, math.inf), -math.inf
+    C2 = _operator_block(V, A, bw, far, near)
+    Ht = 0.5 * (HN + HN.conj().T) - C2.conj().T @ C2 / (q2 - c)
+    theta, Z = np.linalg.eigh(Ht)
+    q = float(theta[0]) - 4 * L * eps * float(np.max(np.abs(Ht)))
+    coupled = np.abs(near) <= M + bw
+    edge = np.arange(-M, M + 1)[np.abs(np.arange(-M, M + 1)) > M - bw]
+    R = _operator_block(V, A, bw, near[coupled], edge) @ U[edge + M]
+    d2 = np.sum(R.real ** 2 + R.imag ** 2, axis=0)
+    S = d2 > eps
+    rest = float(np.sum(d2[~S]))
+    Y = Z[coupled].conj().T @ R[:, S]          # R_S in the eigenbasis of Ht
+    t = eps ** 0.25
+    lower = np.full(mu.size, -math.inf)
+    below = int(np.sum(mu < q))    # mu is sorted
+    if below:
+        tops = np.union1d(np.flatnonzero(S[:below]), [below - 1])
+        gap = theta - mu[tops][:, None]
+        block = np.diag(mu[S] - rho[S]) - (1.0 + t) * (
+            (Y.conj().T / gap[:, None, :]) @ Y)
+        inner = np.broadcast_to(mu[~S] - rho[~S], (tops.size, mu.size - Y.shape[1]))
+        vals = np.sort(np.concatenate((inner, np.linalg.eigvalsh(block)), axis=1), axis=1)
+        level = np.searchsorted(tops, np.arange(below))
+        lower[:below] = (vals[level, np.arange(below)]
+                         - (1.0 + 1.0 / t) * rest / (q - mu[tops][level]))
+    return mu + rho - lower, q
 
 
 def spectrum_rows(dec: SpectralDecomposition):
@@ -569,7 +694,7 @@ def cluster_check(dec: SpectralDecomposition, k_min: int, k_max: int) -> Cluster
     if w.size < 4 or w[-1] < edge:
         raise InsufficientResolution(
             f"resolved spectrum tops out at {w[-1] if w.size else 'nothing'}; "
-            f"need eigenvalues beyond {edge:.1f} - increase M"
+            f"need eigenvalues beyond {edge:.1f} ({dec.certificate_limit()}) - increase M"
         )
     base = {k: math.sqrt(alpha_bound + 4.0 * k * k * ab * ab)
             for k in range(k_min, k_max + 1)}

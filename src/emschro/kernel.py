@@ -87,7 +87,8 @@ def from_spectrum(dec: SpectralDecomposition, count: int | None = None) -> Kerne
     """Kernel eigendata from a computed decomposition; needs mu_1 > 0."""
     n = dec.resolved_count if count is None else min(count, dec.resolved_count)
     if n < 1:
-        raise InsufficientResolution("no certified eigenvalues available")
+        raise InsufficientResolution(
+            f"no certified eigenvalues available: {dec.certificate_limit()}")
     mu = np.asarray(dec.eigenvalues[:n], dtype=float)
     if mu[0] <= 0.0:
         raise HypothesisViolation(

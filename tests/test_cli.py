@@ -75,11 +75,14 @@ def test_sidecars_record_galerkin_work_sizes(ab_config, tmp_path):
     for command, table in (("spectrum", "eigenvalues.csv"), ("wkb", "wkb.csv")):
         assert cli.main([command, ab_config]) == 0
         meta = json.loads((tmp_path / "out" / f"{table}.meta.json").read_text())
-        sizes = {k: meta["thresholds"][k]
-                 for k in ("matrix_dim", "reference_dim", "band_halfwidth",
-                           "eig_window_max", "eig_window_widened")}
-        assert sizes == {"matrix_dim": 65, "reference_dim": 97, "band_halfwidth": 0,
-                         "eig_window_max": 0, "eig_window_widened": 0}
+        budget = meta["thresholds"]
+        sizes = {k: budget[k] for k in ("matrix_dim", "eig_window_max", "eig_window_widened")}
+        assert sizes == {"matrix_dim": 65, "eig_window_max": 0, "eig_window_widened": 0}
+        # flux line: mu = (j + 0.3)^2, the top (32.3)^2 certified under the outer
+        # floor (-33 + 0.3)^2, both to their rounding allowances
+        assert budget["outer_floor_gap"] == pytest.approx(32.7 ** 2 - 32.3 ** 2, rel=1e-9)
+        assert 0.0 < budget["eig_bound_max"] < 1e-13
+        assert "reference_dim" not in budget and "band_halfwidth" not in budget
 
 
 def test_sidecars_record_the_eigensolve_error_budget(tmp_path):
@@ -107,6 +110,39 @@ def test_sidecars_record_the_eigensolve_error_budget(tmp_path):
                 dec.residual_max, dec.angle_bound)
             assert (budget["eig_window_max"], budget["eig_window_widened"]) == (
                 dec.window_max, dec.window_widened) == (65, 0)
+
+
+def test_spectrum_certifies_a_large_truncation(tmp_path):
+    # a = 0.2 cos(theta), A = 0.3 at M = 448: every eigenvalue certified, the
+    # sidecar's budget within the tolerance
+    config = write_config(tmp_path, "big.json", {
+        "potential": {"a_coeffs": [[0.1, 0.0], [0.0, 0.0], [0.1, 0.0]],
+                      "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "spectrum": {"M": 448, "j_max": 12, "cluster_k_min": 10, "cluster_k_max": 16},
+    })
+    assert cli.main(["spectrum", config]) == 0
+    budget = json.loads((tmp_path / "out" / "eigenvalues.csv.meta.json").read_text())[
+        "thresholds"]
+    assert budget["resolved_count"] == budget["matrix_dim"] == 897
+    assert 0.0 < budget["eig_bound_max"] <= galerkin.RESOLVE_RTOL
+    assert budget["outer_floor_gap"] > 0.0
+
+
+def test_refusals_name_the_bound_that_stopped_the_certified_run(tmp_path, capsys):
+    # a = cos(theta) + 0.5 sin(2 theta), A = 0.3 + 0.2 cos(theta) at M = 6: the
+    # fifth eigenvalue's enclosure is too wide, well below the outer floor
+    config = write_config(tmp_path, "small.json", {
+        "potential": {"a_coeffs": [[0.0, 0.25], [0.5, 0.0], [0.0, 0.0], [0.5, 0.0],
+                                   [0.0, -0.25]],
+                      "A_coeffs": [[0.1, 0.0], [0.3, 0.0], [0.1, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "spectrum": {"M": 6, "j_max": 12, "cluster_k_min": 10, "cluster_k_max": 16},
+    })
+    assert cli.main(["spectrum", config]) == cli.EXIT_RESOLUTION
+    err = capsys.readouterr().err
+    assert "eigenvalue 5 (mu = " in err and "enclosure radius" in err
+    assert "increase M" in err
 
 
 def test_kernel_scan_command(ab_config, tmp_path):

@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from emschro import galerkin
 from emschro.errors import InvalidInput, InvalidMatrix, NoConvergence
 from emschro.galerkin import (
-    RESOLVE_FACTOR,
     RESOLVE_RTOL,
     _diagonals,
-    _upper_band,
     assemble_matrix,
     cluster_check,
     compute_spectrum,
@@ -76,34 +74,47 @@ def test_positive_well_ground_state_frozen_value():
 def test_band_storage_reproduces_the_assembled_matrix(request, name, M, b):
     p = request.getfixturevalue(name)
     H = dense_matrix(p, M)
-    ab = _upper_band(p, M)
     n = 2 * M + 1
-    assert ab.shape == (b + 1, n)
-    upper = np.zeros_like(H)
-    for j in range(n):   # LAPACK upper band storage: ab[b + i - j, j] = H[i, j]
-        for i in range(max(0, j - b), j + 1):
-            upper[i, j] = ab[b + i - j, j]
-    assert np.max(np.abs(upper - np.triu(H))) <= 1e-14 * np.max(np.abs(H))
-    assert not np.any(np.triu(H, b + 1))
+    assert not np.any(np.triu(H, b + 1)) and not np.any(np.tril(H, -b - 1))
     full = assemble_matrix(p, M)   # general band storage, both triangles
     assert full.shape == (2 * b + 1, n)
     band = np.zeros_like(H)
-    for j in range(n):
+    for j in range(n):   # ab[b + i - j, j] = H[i, j]
         for i in range(max(0, j - b), min(n, j + b + 1)):
             band[i, j] = full[b + i - j, j]
     assert np.array_equal(band, H)
 
 
-def _dense_certified_count(p, dec) -> int:
-    """The certificate by its definition: a dense eigvalsh of the M' matrix."""
-    H = dense_matrix(p, math.ceil(RESOLVE_FACTOR * dec.M))
-    ref = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-    count = 0
-    for mu, mu_ref in zip(dec.eigenvalues, ref):
-        if abs(mu - mu_ref) > RESOLVE_RTOL * max(1.0, abs(mu_ref)):
-            break
-        count += 1
-    return count
+def _assert_within_radii(p, dec):
+    """Every enclosure below the outer floor holds its eigenvalue of a dense
+    eigvalsh at max(4M, 48), less that reference's own round-off, a few eps
+    ||H||; the radii of the top certified eigenvalues, which carry the
+    coupling to the outer modes, are far above it.  The certified radii are
+    within the tolerance."""
+    H = dense_matrix(p, max(4 * dec.M, 48))
+    H = 0.5 * (H + H.conj().T)
+    ref = np.linalg.eigvalsh(H)[:dec.eigenvalues.size]
+    below = dec.eigenvalues < dec.outer_floor
+    assert np.all(np.isfinite(dec.radius[below])) and np.all(np.isinf(dec.radius[~below]))
+    err = np.abs(dec.eigenvalues - ref)[below]
+    assert np.all(err <= dec.radius[below] + 16 * np.finfo(float).eps * np.linalg.norm(H, 2))
+    k = dec.resolved_count
+    assert np.all(dec.radius[:k] <= RESOLVE_RTOL * np.maximum(1.0, np.abs(ref[:k])))
+
+
+def test_enclosures_hold_for_a_band_wider_than_the_truncation():
+    # a = 0.02 cos(8 theta), A = 0.3: at M = 1..3 the band reaches from one
+    # side of the outer modes to the other (b = 8 >= 2M + 2); at M = 6 the
+    # ground state still couples straight into them
+    p = build_potential(a_coeffs=[0.01] + [0.0] * 15 + [0.01], A_coeffs=[0.3])
+    for M in (1, 2, 3, 6):
+        _assert_within_radii(p, compute_spectrum(p, M))
+
+
+CERTIFIED_COUNTS = {   # (M = 16, 64, 96), as the 1.5 M eigenvalue re-solve counted them
+    "p_cos": (29, 127, 191), "p_mixed": (27, 123, 187),
+    "p_ab": (33, 129, 193), "p_even_electric": (25, 125, 189),
+}
 
 
 @pytest.mark.parametrize("name", ["p_cos", "p_mixed", "p_ab", "p_even_electric"])
@@ -111,14 +122,52 @@ def _dense_certified_count(p, dec) -> int:
 def test_band_certificate_matches_the_dense_reference(request, name, M):
     p = request.getfixturevalue(name)
     dec = compute_spectrum(p, M)
-    assert dec.resolved_count == _dense_certified_count(p, dec)
-    assert dec.reference_dim == 2 * math.ceil(RESOLVE_FACTOR * M) + 1
+    assert dec.resolved_count == CERTIFIED_COUNTS[name][(16, 64, 96).index(M)]
+    _assert_within_radii(p, dec)
 
 
 def test_too_small_truncation_certifies_part_of_the_spectrum(p_mixed):
     dec = compute_spectrum(p_mixed, 6)
     assert (dec.resolved_count, dec.eigenvalues.size) == (4, 13)
-    assert dec.resolved_count == _dense_certified_count(p_mixed, dec)
+    _assert_within_radii(p_mixed, dec)
+    k = dec.resolved_count     # stopped by its radius, well below the outer floor
+    assert dec.radius[k] > RESOLVE_RTOL * max(1.0, abs(dec.eigenvalues[k]))
+    assert dec.eigenvalues[k] < dec.outer_floor
+    assert "eigenvalue 5 " in dec.certificate_limit() and "radius" in dec.certificate_limit()
+
+
+def test_a_shifted_circulation_certifies_only_below_the_missed_mode():
+    # A = 1.3: the outer mode j = -17 has diagonal (-17 + 1.3)^2 = 246.49, inside
+    # the M = 16 spectrum, whose eigenvalues above it sit on the wrong index
+    p = build_potential(a_coeffs=[0.5, 0.0, 0.5], A_coeffs=[1.3])
+    dec = compute_spectrum(p, 16)
+    mu, k = dec.eigenvalues, dec.resolved_count
+    assert 0 < k < mu.size
+    assert mu[k - 1] < dec.outer_floor <= (-17 + 1.3) ** 2
+    above = mu >= dec.outer_floor
+    assert np.sum(above) == 2 and np.all(np.isinf(dec.radius[above]))
+    H = dense_matrix(p, 64)
+    ref = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+    assert np.all(np.abs(mu - ref[:mu.size])[above] > 10.0)   # the missed mode's index shift
+    _assert_within_radii(p, dec)
+
+
+@pytest.mark.parametrize("M", [448, 640])
+def test_large_truncations_certify_every_eigenvalue(M):
+    # a = 0.2 cos(theta), A = 0.3: a 1.5 M eigenvalue re-solve certified none
+    # here, its own round-off eps ||H_1.5M|| being above the tolerance
+    dec = compute_spectrum(build_potential(a_coeffs=[0.1, 0.0, 0.1], A_coeffs=[0.3]), M)
+    assert dec.resolved_count == dec.eigenvalues.size == 2 * M + 1
+    assert np.all(dec.radius <= RESOLVE_RTOL * np.maximum(1.0, np.abs(dec.eigenvalues)))
+
+
+def test_compute_spectrum_solves_eigenvalues_once(monkeypatch, p_mixed):
+    calls = []
+    real = galerkin.eigvals_banded
+    monkeypatch.setattr(galerkin, "eigvals_banded",
+                        lambda *a, **kw: calls.append(a[0].shape) or real(*a, **kw))
+    compute_spectrum(p_mixed, 24)
+    assert calls == [(3, 49)]
 
 
 def test_compute_spectrum_assembles_once(monkeypatch, p_mixed):
@@ -320,6 +369,8 @@ def test_error_budget_holds_against_the_gram_matrix(monkeypatch, p_even_electric
         U, mu = dec.coeffs, dec.eigenvalues
         res = np.linalg.norm(H @ U - U * mu, axis=0)
         assert dec.residual_max == pytest.approx(float(np.max(res)), rel=1e-3)
+        inner = eigensolve(assemble_matrix(p_even_electric, 48), p_even_electric)
+        assert np.all(inner.radius >= 2.0 * res)     # the in-band enclosure holds the residual
         starts, ends = galerkin._groups(mu)
         group = np.repeat(np.arange(starts.size), ends - starts)
         gram = np.abs(U.conj().T @ U - np.eye(mu.size))
