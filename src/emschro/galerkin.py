@@ -533,11 +533,13 @@ def _enclosures(dec: SpectralDecomposition) -> tuple[np.ndarray, float]:
     The upper end is min-max, lambda_k(H) <= lambda_k(H_M) <= mu_k + rho_k,
     rho_k being half the in-band radius `eigensolve` reports.  For the lower
     end, split the modes into the inner ones I (|j| <= M), the near outer ones
-    N (M < |j| <= M + OUTER_MODES, both sides) and the far ones F:
+    N (M < |j| <= M + L, both sides) and the far ones F:
     - on F, Gershgorin's rows give H_F >= q2 (the diagonal grows like j^2,
-      the row sums like |j|);
-    - with C2 the coupling from N to F and c the smallest diagonal entry of
-      H_N, the outer block H_{N+F} - l is positive, and the inverse of its
+      the row sums like |j|).  With C2 the coupling from N to F and c the
+      smallest diagonal entry of H_N, L starts at OUTER_MODES and doubles,
+      up to 16 times that, while q2 - c < ||C2||_F (a strong A: 0.3 + 40 cos
+      theta takes 192 modes a side at M = 64);
+    - the outer block H_{N+F} - l is then positive, and the inverse of its
       Schur complement onto N at most W(l) = (Ht - l)^-1, whenever l is below
       q = the smallest eigenvalue of Ht = H_N - C2^H C2 / (q2 - c) (less its
       rounding), for then l < c < q2;
@@ -555,22 +557,27 @@ def _enclosures(dec: SpectralDecomposition) -> tuple[np.ndarray, float]:
     p, M, mu, U = dec.potential, dec.M, dec.eigenvalues, dec.coeffs
     rho = 0.5 * dec.radius
     V, A, bw = _convolved_coeffs(p)
-    L = max(OUTER_MODES, bw)
     eps = np.finfo(float).eps
-    near = np.concatenate((np.arange(-M - L, -M), np.arange(M + 1, M + L + 1)))
-    far = np.concatenate((np.arange(-M - L - bw, -M - L), np.arange(M + L + 1, M + L + bw + 1)))
     a_off = float(np.sum(np.abs(A))) - abs(A[bw])
     v_off = float(np.sum(np.abs(V))) - abs(V[bw])
     A0, V0 = A[bw].real, V[bw].real
-    q2 = math.inf
-    for side in (1.0, -1.0):   # min over |j| > M + L of the row's Gershgorin floor
-        j = max(M + L + 1.0, a_off - side * A0)
-        q2 = min(q2, j * j + 2.0 * j * (side * A0 - a_off) + V0 - v_off - 2.0 * bw * a_off)
-    HN = _operator_block(V, A, bw, near, near)
-    c = float(np.min(HN.diagonal().real))
+    L = max(OUTER_MODES, bw)
+    while True:   # widen N while F's floor sits too close to N's diagonal (strong A)
+        near = np.concatenate((np.arange(-M - L, -M), np.arange(M + 1, M + L + 1)))
+        far = np.concatenate((np.arange(-M - L - bw, -M - L),
+                              np.arange(M + L + 1, M + L + bw + 1)))
+        q2 = math.inf
+        for side in (1.0, -1.0):   # min over |j| > M + L of the row's Gershgorin floor
+            j = max(M + L + 1.0, a_off - side * A0)
+            q2 = min(q2, j * j + 2.0 * j * (side * A0 - a_off) + V0 - v_off - 2.0 * bw * a_off)
+        HN = _operator_block(V, A, bw, near, near)
+        c = float(np.min(HN.diagonal().real))
+        C2 = _operator_block(V, A, bw, far, near)
+        if q2 - c >= np.linalg.norm(C2) or L >= 16 * OUTER_MODES:
+            break
+        L *= 2
     if not c < q2:
         return np.full(mu.size, math.inf), -math.inf
-    C2 = _operator_block(V, A, bw, far, near)
     Ht = 0.5 * (HN + HN.conj().T) - C2.conj().T @ C2 / (q2 - c)
     theta, Z = np.linalg.eigh(Ht)
     q = float(theta[0]) - 4 * L * eps * float(np.max(np.abs(Ht)))

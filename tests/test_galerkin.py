@@ -102,6 +102,17 @@ def _assert_within_radii(p, dec):
     assert np.all(dec.radius[:k] <= RESOLVE_RTOL * np.maximum(1.0, np.abs(ref[:k])))
 
 
+def test_a_strong_field_widens_the_exact_outer_block():
+    # A = 0.3 + 40 cos(theta): the far rows' Gershgorin floor sits below or
+    # just above the near diagonal until N holds 192 modes a side (M = 64);
+    # the counts are the 1.5 M re-solve's
+    p = build_potential(a_coeffs=[0.5, 0.4, 0.5], A_coeffs=[20.0, 0.3, 20.0])
+    for M, count in ((32, 0), (64, 19)):
+        dec = compute_spectrum(p, M)
+        assert dec.resolved_count == count
+        _assert_within_radii(p, dec)
+
+
 def test_enclosures_hold_for_a_band_wider_than_the_truncation():
     # a = 0.02 cos(8 theta), A = 0.3: at M = 1..3 the band reaches from one
     # side of the outer modes to the other (b = 8 >= 2M + 2); at M = 6 the
