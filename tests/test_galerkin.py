@@ -1,7 +1,5 @@
 """Truncated eigenproblem: exact flux-line case, invariances, clusters, certificate."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
