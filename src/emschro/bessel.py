@@ -421,7 +421,7 @@ def term_tail_bound(nu: float, rho: float) -> float:
     lt = nuf * math.log(rho / 2.0) - math.lgamma(nuf + 1.0)
     if lt > 700.0:
         return math.inf
-    return math.exp(lt) if lt > -745.0 else 0.0
+    return float(np.exp(lt)) if lt > -745.0 else 0.0
 
 
 @dataclass(frozen=True)

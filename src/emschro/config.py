@@ -10,8 +10,8 @@ keys listed in their schemas; unknown keys are rejected so typos cannot
 silently fall back to defaults.  Each key is declared once, with its default
 and its kind, and every value is checked against its kind before any work:
 sizes are positive integers, angular grids have at least 4 points, flags are
-booleans, list keys are nonempty lists of what their command reads.  Potential
-entries must be finite numbers.
+booleans, the sup scan's `n_rho` is at least 2, list keys are nonempty lists
+of what their command reads.  Potential entries must be finite numbers.
 """
 
 from __future__ import annotations
@@ -72,7 +72,9 @@ _SECTION_SCHEMAS = {
     },
     "kernel_scan": {
         "M": (160, _POSITIVE_INT), "count": (None, _POSITIVE_INT),
-        "rho_max": (50.0, _POSITIVE), "n_rho": (200, _POSITIVE_INT),
+        "rho_max": (50.0, _POSITIVE),
+        # the scan reads both rho = 0 and rho_max
+        "n_rho": (200, (lambda v: _is_int(v) and v >= 2, "an integer >= 2")),
         "n_theta": (64, _ANGULAR_GRID), "tol": (1e-9, _POSITIVE),
         "difference": (False, _BOOL), "ells": ([4, 8, 16], _POSITIVE_INTS),
         "full_grid": (False, _BOOL),

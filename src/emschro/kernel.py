@@ -9,7 +9,10 @@ formula needs every beta_k real positive, i.e. mu_1 > 0; construction rejects
 eigendata violating that.  Since radii enter only through rho = |x||y|, all
 evaluators work on (rho, theta, theta') grids.
 
-Branch convention throughout: i^{-beta} := exp(-i pi beta / 2).
+Branch convention throughout: i^{-beta} := exp(-i pi beta / 2).  Every
+evaluator sums the series through one real GEMM: the Bessel weights
+J_{beta_k}(rho) stay real, and the phase i^{-beta_k} scales the left angular
+rows psi_k(theta).
 
 Truncation is certified termwise with |J_nu(rho)| <= (rho/2)^nu / Gamma(nu+1)
 and sup-norm bounds on the eigenfunctions; beyond the computed eigendata the
@@ -175,16 +178,16 @@ def tail_bound_beyond(data: KernelEigendata, rho: float) -> float:
 def term_bounds(data: KernelEigendata, rho: float) -> np.ndarray:
     """Termwise majorants |J_{beta_k}(rho)| * sup|psi_k|^2 for the computed modes.
 
-    Bit for bit `bessel.term_tail_bound` per mode: math.exp, as there, on the
-    terms that neither overflow nor underflow.
+    Bit for bit `bessel.term_tail_bound` per mode: one np.exp over the log
+    terms that neither overflow nor underflow, the exponential used there.
     """
     if rho == 0.0:
         majorants = np.where(data.beta == 0.0, 1.0, 0.0)
     else:
         log_terms = data.beta * math.log(rho / 2.0) - data.lgamma_beta
         majorants = np.where(log_terms > 700.0, math.inf, 0.0)
-        finite = np.flatnonzero((log_terms > -745.0) & (log_terms <= 700.0))
-        majorants[finite] = [math.exp(v) for v in log_terms[finite].tolist()]
+        finite = (log_terms > -745.0) & (log_terms <= 700.0)
+        majorants[finite] = np.exp(log_terms[finite])
     return majorants * data.sup_bounds ** 2
 
 
@@ -193,8 +196,11 @@ def truncation(data: KernelEigendata, rho: float, tol: float) -> tuple[int, floa
 
     n keeps the discarded computed-mode majorants plus the beyond-data tail
     below tol; the bound is sum_{k>=n} term_bounds + tail_bound_beyond.
-    Raises InsufficientResolution if even the full data cannot certify tol.
+    Raises InvalidInput unless rho is finite and nonnegative, before any log
+    or exp, and InsufficientResolution if even the full data cannot certify tol.
     """
+    if not (math.isfinite(rho) and rho >= 0.0):
+        raise InvalidInput(f"rho must be finite and nonnegative, got {rho}")
     beyond = tail_bound_beyond(data, rho)
     if not beyond < tol:
         raise InsufficientResolution(
@@ -225,32 +231,39 @@ def kernel_value(data: KernelEigendata, rho: float, theta: float, theta_prime: f
                  tol: float = DEFAULT_TOL) -> KernelValue:
     """Single-point kernel evaluation with certified truncation error."""
     n, dropped = truncation(data, rho, tol)
-    W = _weights_on_rho(data, np.array([float(rho)]), np.array([n]))
-    K = _mode_sum(W, data.psi_values(theta)[:n], data.psi_values(theta_prime)[:n])
+    K = _series(data, np.array([float(rho)]), np.array([n]), theta, theta_prime)
     return KernelValue(value=complex(K[0, 0, 0]), terms_used=n, tail_bound=dropped)
 
 
-def _bessel_weights(orders: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Matrix i^{-b} J_b(rho_r), one row per order b, from one `bessel.j_orders` call."""
-    phase = np.array([i_power(b) for b in map(float, orders)], dtype=complex)
-    return phase[:, None] * bessel.j_orders(orders, rho)
+def _phases(orders: np.ndarray) -> np.ndarray:
+    """i^{-b} for every order b, on the branch of `i_power`."""
+    return np.array([i_power(b) for b in map(float, orders)], dtype=complex)
 
 
-def _weights_on_rho(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """Matrix i^{-beta_k} J_{beta_k}(rho_r), zeroed from each rho's cutoff on."""
-    W = _bessel_weights(data.beta[:int(cuts.max())], rho)
-    W[np.arange(W.shape[0])[:, None] >= cuts] = 0.0
-    return W
+def _series(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray, theta,
+            theta_prime) -> np.ndarray:
+    """sum_{k < cuts[r]} i^{-beta_k} J_{beta_k}(rho_r) psi_k(theta) conj psi_k(theta').
+
+    The weights J stay real, from one `bessel.j_orders` call; the phases
+    i^{-beta_k} scale the left angular rows.
+    """
+    n = int(cuts.max())
+    W = bessel.j_orders(data.beta[:n], rho)
+    W[np.arange(n)[:, None] >= cuts] = 0.0
+    P = _phases(data.beta[:n])[:, None] * data.psi_values(theta)[:n]
+    return _mode_sum(W, P, data.psi_values(theta_prime)[:n])
 
 
 def _mode_sum(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """sum_k W[k, r] P[k, t] conj Q[k, s]: weights times angular rows at theta, theta'.
+    """sum_k W[k, r] P[k, t] conj Q[k, s]: real weights times angular rows at theta, theta'.
 
-    One GEMM, W^T times the angular outer products A[k, t s] = P[k, t] conj Q[k, s],
-    at every shape; the result is C-ordered.
+    One real GEMM, W^T times the float view (real and imaginary parts
+    interleaved) of the angular outer products A[k, t s] = P[k, t] conj Q[k, s],
+    at every shape; half the flops of a complex GEMM.  The result is C-ordered.
     """
     A = (P[:, :, None] * np.conj(Q)[:, None, :]).reshape(P.shape[0], -1)
-    return (W.T @ A).reshape(W.shape[1], P.shape[1], Q.shape[1])
+    K = (W.T @ A.view(float)).view(complex)
+    return K.reshape(W.shape[1], P.shape[1], Q.shape[1])
 
 
 def evaluate_grid(data: KernelEigendata, rho: np.ndarray, theta: np.ndarray,
@@ -258,9 +271,7 @@ def evaluate_grid(data: KernelEigendata, rho: np.ndarray, theta: np.ndarray,
     """K on a product grid; returns complex array (len(rho), len(theta), len(theta_prime))."""
     rho = np.asarray(rho, dtype=float)
     cuts = np.array([cutoff_index(data, float(r), tol) for r in rho])
-    W = _weights_on_rho(data, rho, cuts)
-    n = W.shape[0]
-    return _mode_sum(W, data.psi_values(theta)[:n], data.psi_values(theta_prime)[:n])
+    return _series(data, rho, cuts, theta, theta_prime)
 
 
 # -- scans -----------------------------------------------------------------------
@@ -285,8 +296,11 @@ def sup_scan(data: KernelEigendata, rho_max: float, n_rho: int, n_theta: int,
 
     The trend records the running max over increasing rho windows: a bounded
     kernel plateaus, a divergent one keeps climbing.  The headline statistic
-    is the relative growth of the running max over the top two rho decades.
+    is the relative growth of the running max over the top two rho decades,
+    so the grid needs both rho = 0 and rho_max: n_rho < 2 is InvalidInput.
     """
+    if n_rho < 2:
+        raise InvalidInput(f"sup_scan needs n_rho >= 2 (rho = 0 and rho_max), got {n_rho}")
     rho = np.linspace(0.0, rho_max, n_rho)
     th = theta_grid(n_theta)
     K = evaluate_grid(data, rho, th, th, tol)
@@ -372,18 +386,20 @@ def difference_scan(dec: SpectralDecomposition, ells, rho_max: float) -> Differe
     chi = math.sqrt(2.0 * math.pi) * data.psi_values(th) * p.gauge(th)[None, :]
     k = np.array([pr.k for pr in pairs])
     j = np.array([pr.j for pr in pairs])
-    # rows 2i and 2i + 1: pair i's mode and its model, whose weight is negated
+    # rows 2i and 2i + 1: pair i's mode and its model, whose left row carries
+    # the negated weight's sign beside its phase
     orders = np.column_stack([data.beta[k], np.abs(j + ab)]).ravel()
-    W = _bessel_weights(orders, rho)
-    W[1::2] = -W[1::2]
+    W = bessel.j_orders(orders, rho)
     P = np.stack([chi[k], np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
+    L = _phases(orders)[:, None] * P
+    L[1::2] = -L[1::2]
     level = np.repeat(np.abs(j), 2)
     acc = np.zeros((rho.size, th.size, th.size), dtype=complex)
     rows = []
     top = np.inf
     for ell in reversed(ells):
         band = (level >= ell) & (level < top)
-        acc += _mode_sum(W[band], P[band], P[band])
+        acc += _mode_sum(W[band], L[band], P[band])
         top = ell
         rows.append(DifferenceRow(ell=ell, max_abs=float(np.max(np.abs(acc))),
                                   terms=int(np.count_nonzero(level >= ell)) // 2))

@@ -68,3 +68,19 @@ def test_series_counter_matches_the_series_route(monkeypatch):
         stub = SimpleNamespace(counts=Counter(), inside=lambda name: False)
         tracer._j_grid(stub, (nu, r), {}, bessel.j_grid(nu, r))
         assert stub.counts["bessel.j_series_values"] == sum(handed)
+
+
+def test_one_sup_scan_is_one_grid_and_one_cutoff_per_rho():
+    # the tracer's exact kernel counters measure a scan's work only while the
+    # scan makes one evaluate_grid call and that call one cutoff_index per rho
+    from emschro import cli, kernel  # noqa: F401  (the tracer patches every probed module)
+
+    tracer = _load_tracer()
+    data = kernel.ab_eigendata(0.3, 60)
+    rho = np.linspace(0.0, 10.0, 25)
+    with tracer.Tracer() as tr:
+        kernel.sup_scan(data, rho_max=10.0, n_rho=rho.size, n_theta=8)
+    assert tr.counts["kernel.evaluate_grid_calls"] == 1
+    assert tr.counts["kernel.cutoff_calls"] == rho.size
+    cuts = [kernel.truncation(data, float(r), kernel.DEFAULT_TOL)[0] for r in rho]
+    assert tr.counts["kernel.terms_used"] == sum(cuts)

@@ -294,6 +294,8 @@ def test_out_of_range_ells_are_refused_before_any_work(tmp_path, monkeypatch):
 # before these were checked up front, each exited 5 or ran the Galerkin solve first
 @pytest.mark.parametrize("command,doc", [
     ("kernel-scan", {"kernel_scan": {"M": 32, "n_theta": 2}}),
+    # one rho sample is rho = 0 alone, where K = 0: the sup scan divided by it
+    ("kernel-scan", {"kernel_scan": {"M": 40, "rho_max": 5.0, "n_rho": 1, "n_theta": 8}}),
     ("decay", {"decay": {"M": 32, "n_theta": 3}}),
     ("decay", {"decay": {"M": 32, "r0": "x"}}),
     ("spectrum", {"potential": {"a_coeffs": [[float("nan"), 0.0]],

@@ -90,6 +90,10 @@ def test_value_validation():
     for section in ("kernel_scan", "decay"):
         with pytest.raises(ConfigError, match=f"{section}.n_theta"):
             parse_config({**GOOD, section: {"n_theta": 3}})
+    # the sup scan reads rho = 0 and rho_max
+    with pytest.raises(ConfigError, match="kernel_scan.n_rho"):
+        parse_config({**GOOD, "kernel_scan": {"n_rho": 1}})
+    assert parse_config({**GOOD, "kernel_scan": {"n_rho": 2}}).section("kernel_scan")["n_rho"] == 2
     # null stands for "the command chooses" only where that is the default
     with pytest.raises(ConfigError):
         parse_config({**GOOD, "spectrum": {"M": None}})

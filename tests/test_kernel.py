@@ -157,6 +157,8 @@ def test_sup_scan_report_structure():
     assert rep.max_abs == pytest.approx(rep.running_maxima[-1])
     with pytest.raises(InvalidInput):   # the angles come from theta_grid
         sup_scan(data, rho_max=10.0, n_rho=50, n_theta=3)
+    with pytest.raises(InvalidInput):   # the trend needs rho = 0 and rho_max
+        sup_scan(data, rho_max=10.0, n_rho=1, n_theta=24)
 
 
 def test_sup_scan_flux_line_frozen():
@@ -186,7 +188,8 @@ def test_mode_sum_matches_a_per_mode_loop(k, n_rho, n_theta):
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    W, P, Q = cplx(k, n_rho), cplx(k, n_theta), cplx(k, n_theta)
+    # the weights are real Bessel values; their phases ride in the rows P
+    W, P, Q = rng.standard_normal((k, n_rho)), cplx(k, n_theta), cplx(k, n_theta)
     ref = np.zeros((n_rho, n_theta, n_theta), dtype=complex)
     for w, p, q in zip(W, P, Q):
         ref += w[:, None, None] * np.outer(p, np.conj(q))[None]
@@ -199,6 +202,18 @@ def test_kernel_value_rejects_negative_radius():
     data = ab_eigendata(0.3, 20)
     with pytest.raises(InvalidInput):
         kernel_value(data, -1.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("rho", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_radius_is_invalid_input(rho, monkeypatch):
+    # refused before any log or exp, so no vectorised majorant sees a non-finite rho
+    data = ab_eigendata(0.3, 20)
+    monkeypatch.setattr(kernel, "tail_bound_beyond", lambda *args: pytest.fail("reached"))
+    monkeypatch.setattr(kernel, "term_bounds", lambda *args: pytest.fail("reached"))
+    with pytest.raises(InvalidInput):
+        kernel_value(data, rho, 0.0, 0.0)
+    with pytest.raises(InvalidInput):
+        evaluate_grid(data, np.array([rho]), np.array([0.0]), np.array([0.0]))
 
 
 # -- gap scan against the constant-circulation tail -------------------------------
@@ -305,3 +320,53 @@ def test_gap_scan_cutoff_drops_a_hundredth_of_the_tolerance():
             nu += 1.0
         worst = max(worst, 2.0 * total)
     assert worst < kernel.DEFAULT_TOL / 100.0
+
+
+# -- the real GEMM against complex Bessel weights ---------------------------------
+
+
+@pytest.fixture(scope="module", params=["flux_line", "galerkin"])
+def gemm_case(request):
+    if request.param == "flux_line":
+        return compute_spectrum(constant_potential(0.3), 48)
+    return compute_spectrum(build_potential(a_coeffs=[0.1, 0.0, 0.1], A_coeffs=[0.3]), 48)
+
+
+def test_grid_matches_complex_bessel_weights(gemm_case):
+    """sum_k i^{-beta_k} J_{beta_k} psi_k conj psi_k with the phase on the weights."""
+    data = from_spectrum(gemm_case)
+    rho = np.linspace(0.0, 8.0, 17)
+    th, thp = np.linspace(0.0, 6.0, 7), np.linspace(0.5, 5.5, 5)
+    cuts = np.array([cutoff_index(data, r, kernel.DEFAULT_TOL) for r in rho])
+    n = int(cuts.max())
+    W = np.array([i_power(b) for b in data.beta[:n]])[:, None] \
+        * bessel.j_orders(data.beta[:n], rho)
+    W[np.arange(n)[:, None] >= cuts] = 0.0
+    ref = np.einsum("kr,kt,ks->rts", W, data.psi_values(th)[:n],
+                    np.conj(data.psi_values(thp)[:n]))
+    assert np.max(np.abs(evaluate_grid(data, rho, th, thp) - ref)) <= 1e-14
+
+
+def test_gap_scan_matches_complex_bessel_weights(small_gap_grid, gemm_case):
+    """Each D(ell) from one complex-weight sum over every pair with |j| >= ell."""
+    dec = gemm_case
+    data = from_spectrum(dec)
+    ab = dec.potential.reduced_circulation
+    ells = (2, 5, 9, 13)
+    rep = difference_scan(dec, ells=ells, rho_max=GAP_RHO_MAX)
+    _, j_max = kernel.difference_ells(ells, GAP_RHO_MAX)
+    pairs = pair_modes(dec, [j for j in range(-j_max, j_max + 1) if abs(j) >= ells[0]])
+    k = np.array([pr.k for pr in pairs])
+    j = np.array([pr.j for pr in pairs])
+    rho = np.linspace(0.0, GAP_RHO_MAX, kernel.DIFFERENCE_N_RHO)
+    th = 2.0 * np.pi * np.arange(kernel.DIFFERENCE_N_THETA) / kernel.DIFFERENCE_N_THETA
+    chi = np.sqrt(2.0 * np.pi) * data.psi_values(th) * dec.potential.gauge(th)
+    orders = np.column_stack([data.beta[k], np.abs(j + ab)]).ravel()
+    W = np.array([i_power(b) for b in orders])[:, None] * bessel.j_orders(orders, rho)
+    W[1::2] = -W[1::2]
+    P = np.stack([chi[k], np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
+    level = np.repeat(np.abs(j), 2)
+    for row in rep.rows:
+        keep = level >= row.ell
+        ref = np.einsum("kr,kt,ks->rts", W[keep], P[keep], np.conj(P[keep]))
+        assert abs(row.max_abs - np.max(np.abs(ref))) <= 1e-14
