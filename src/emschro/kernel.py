@@ -77,13 +77,12 @@ class KernelEigendata:
         """math.lgamma(beta_k + 1) for every mode, computed once."""
         return np.array([math.lgamma(b + 1.0) for b in self.beta.tolist()])
 
-    def psi_values(self, theta: np.ndarray) -> np.ndarray:
-        """Matrix psi_k(theta), one row per retained mode."""
+    def psi_values(self, theta: np.ndarray, rows=None) -> np.ndarray:
+        """Matrix psi_k(theta), one row per retained mode, or per mode index in `rows`."""
         th = np.atleast_1d(np.asarray(theta, dtype=float))
         M = (self.coeffs.shape[0] - 1) // 2
-        modes = np.arange(-M, M + 1)
-        basis = np.exp(1j * np.outer(modes, th)) / math.sqrt(2.0 * math.pi)
-        return self.coeffs.T @ basis
+        basis = np.exp(1j * np.outer(np.arange(-M, M + 1), th)) / math.sqrt(2.0 * math.pi)
+        return (self.coeffs if rows is None else self.coeffs[:, rows]).T @ basis
 
 
 def from_spectrum(dec: SpectralDecomposition, count: int | None = None) -> KernelEigendata:
@@ -245,13 +244,15 @@ def _series(data: KernelEigendata, rho: np.ndarray, cuts: np.ndarray, theta,
     """sum_{k < cuts[r]} i^{-beta_k} J_{beta_k}(rho_r) psi_k(theta) conj psi_k(theta').
 
     The weights J stay real, from one `bessel.j_orders` call; the phases
-    i^{-beta_k} scale the left angular rows.
+    i^{-beta_k} scale the left angular rows.  Only the n = max(cuts) rows
+    that are summed are built, once when theta' is theta.
     """
     n = int(cuts.max())
     W = bessel.j_orders(data.beta[:n], rho)
     W[np.arange(n)[:, None] >= cuts] = 0.0
-    P = _phases(data.beta[:n])[:, None] * data.psi_values(theta)[:n]
-    return _mode_sum(W, P, data.psi_values(theta_prime)[:n])
+    Q = data.psi_values(theta_prime, np.arange(n))
+    P = Q if theta is theta_prime else data.psi_values(theta, np.arange(n))
+    return _mode_sum(W, _phases(data.beta[:n])[:, None] * P, Q)
 
 
 def _mode_sum(W: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -383,14 +384,14 @@ def difference_scan(dec: SpectralDecomposition, ells, rho_max: float) -> Differe
 
     rho = np.linspace(0.0, rho_max, DIFFERENCE_N_RHO)
     th = theta_grid(DIFFERENCE_N_THETA)
-    chi = math.sqrt(2.0 * math.pi) * data.psi_values(th) * p.gauge(th)[None, :]
     k = np.array([pr.k for pr in pairs])
     j = np.array([pr.j for pr in pairs])
+    chi = math.sqrt(2.0 * math.pi) * data.psi_values(th, k) * p.gauge(th)[None, :]
     # rows 2i and 2i + 1: pair i's mode and its model, whose left row carries
     # the negated weight's sign beside its phase
     orders = np.column_stack([data.beta[k], np.abs(j + ab)]).ravel()
     W = bessel.j_orders(orders, rho)
-    P = np.stack([chi[k], np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
+    P = np.stack([chi, np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
     L = _phases(orders)[:, None] * P
     L[1::2] = -L[1::2]
     level = np.repeat(np.abs(j), 2)

@@ -22,10 +22,13 @@ The quadrature itself (`_hankel_integrals`) takes no J value for a far pair
 s r' >= R(beta), where Hankel's expansion holds to 2^-53: both grids are
 uniform, so each term of the expansion, summed over r', is a chirp-z
 transform (Bluestein) in O((n_s + n_r) log) per octave band of r'
-(`_far_field_sum`).  The near pairs stay on `bessel.j_grid`.  Each
-transformed mode is checked against the direct sum (`_direct_sum`) at a few
-far-field s and falls back to it whole on a miss.  The holdouts of both
-routes call the direct sum, never `_hankel_integrals`.
+(`_far_field_sum`).  The near pairs take one J value per lattice point:
+every grid the quadrature builds is h (integer + offset), offset 0 or 1/2,
+so s_n r'_j = h_s h_r i_n j_j, and one `bessel.j_grid` call on
+h_s h_r (0 .. K) serves all of a mode's near pairs (`_near_sum`).  Each
+transformed mode is checked against the direct sum (`_direct_sum`, one J
+value per pair) at a few far-field s and falls back to it whole on a miss.
+The holdouts of both routes call the direct sum, never `_hankel_integrals`.
 
 Negative times are handled once, in `_evolve_core`: for real a and A the
 reversed field -A has the eigendata (mu_k, conj psi_k) exactly, so
@@ -183,19 +186,23 @@ def _retained_modes(data: KernelEigendata, a: np.ndarray, u0: PolarField) -> np.
     return keep
 
 
-def required_source_points(r_max: float, s_max: float, t: float) -> int:
-    """Minimum radial samples for the source under the oscillation rule."""
+def required_source_points(r_max: float, s_max: float, t: float) -> int | float:
+    """Minimum radial samples for the source under the oscillation rule.
+
+    math.inf where the count overflows a double (r_max / 2t does at t = 5e-324).
+    """
     rate = s_max + r_max / (2.0 * abs(t))
     dr_needed = 2.0 * math.pi / (SRC_SAMPLES_PER_PERIOD * rate)
-    return int(math.ceil(r_max / dr_needed))
+    n = r_max / dr_needed if dr_needed > 0.0 else math.inf
+    return int(math.ceil(n)) if math.isfinite(n) else math.inf
 
 
 def _check_source_resolution(u0: PolarField, s_max: float, t: float) -> None:
     n_need = required_source_points(float(u0.r[-1]), s_max, t)
     if u0.r.size < n_need:
         raise ResolutionError(
-            f"source grid too coarse for t = {t}: {u0.r.size} points, "
-            f"need at least {n_need}", suggested_n=n_need,
+            f"source grid too coarse for t = {t}: {u0.r.size} points, need at least "
+            f"{n_need if n_need < 1e15 else format(n_need, '.3g')}", suggested_n=n_need,
         )
 
 
@@ -273,7 +280,7 @@ class _Source:
         """(kept mode indices, their coefficient rows, their angular rows)."""
         a = modal_coefficients(self.data, self.u0)
         keep = _retained_modes(self.data, a, self.u0)
-        return keep, a[keep], self.data.psi_values(self.u0.thetas())[keep]
+        return keep, a[keep], self.data.psi_values(self.u0.thetas(), keep)
 
     @cached_property
     def mirror(self) -> _Source:
@@ -293,21 +300,75 @@ def _mode_weights(a: np.ndarray, r_src: np.ndarray, t: float):
             yield i, r_src[lo:hi], row[lo:hi] * chirp[lo:hi]
 
 
+def _block_sums(n_s: int, n_r: int, blocks, chunk_sum) -> np.ndarray:
+    """chunk_sum(c, e, k) on s[c:e] for every block (n0, n1, k); 0 outside the blocks.
+
+    Chunks hold at most HANKEL_CHUNK x n_r pairs.
+    """
+    out = np.zeros(n_s, dtype=complex)
+    for n0, n1, k in blocks:
+        step = max(1, HANKEL_CHUNK * n_r // k)
+        for c in range(n0, n1, step):
+            e = min(c + step, n1)
+            out[c:e] += chunk_sum(c, e, k)
+    return out
+
+
 def _direct_sum(b: float, w: np.ndarray, rs: np.ndarray, s: np.ndarray,
                 blocks=None) -> np.ndarray:
-    """sum_j J_b(s r_j) w_j for every s, by `bessel.j_grid`.
+    """sum_j J_b(s r_j) w_j for every s, one `bessel.j_grid` value per pair.
 
     `blocks` lists (n0, n1, k): s[n0:n1] sums over the first k radii only,
     and s outside every block gets 0.  Each block is split into `j_grid`
     calls of at most HANKEL_CHUNK x rs.size values.
     """
-    out = np.zeros(s.size, dtype=complex)
-    for n0, n1, k in blocks or [(0, s.size, rs.size)]:
-        step = max(1, HANKEL_CHUNK * rs.size // k)
-        for c in range(n0, n1, step):
-            e = min(c + step, n1)
-            out[c:e] += bessel.j_grid(b, np.multiply.outer(s[c:e], rs[:k])) @ w[:k]
-    return out
+    if blocks is None:
+        blocks = [(0, s.size, rs.size)]
+    return _block_sums(s.size, rs.size, blocks, lambda c, e, k:
+                       bessel.j_grid(b, np.multiply.outer(s[c:e], rs[:k])) @ w[:k])
+
+
+def _lattice(x: np.ndarray, line):
+    """(h, i) with x = h i to AFFINE_ULPS ulps, i integers >= 0, or None.
+
+    `line` = (x0, step) is `_affine(x)`.  It needs step > 0 and x0 / step an
+    integer (h = step) or a half-integer (h = step / 2, i odd).
+    """
+    x0, step = line
+    if step <= 0:
+        return None
+    c = int(np.rint(2 * x0 / step))   # x0 in half steps
+    if c < 0 or abs(x0 - c * step / 2) > AFFINE_ULPS * np.spacing(np.max(np.abs(x))):
+        return None
+    p = 1 + c % 2
+    return step / p, c * p // 2 + p * np.arange(x.size)
+
+
+def _near_sum(b: float, w: np.ndarray, rs: np.ndarray, s: np.ndarray, r_line, s_line,
+              blocks) -> np.ndarray:
+    """`_direct_sum` over `blocks`, with one J value per lattice point where that pays.
+
+    When s = h_s i and rs = h_r j on integer lattices (`_lattice`), every
+    argument is s_n r_m = h_s h_r i_n j_m, so one `j_grid` call on
+    h_s h_r (0 .. K), K the largest product any block reaches, serves every
+    pair.  Taken when K + 1 is below the blocks' pair count and at most
+    HANKEL_CHUNK x rs.size, the largest call the pairwise route makes;
+    otherwise the pairs go to `_direct_sum`.
+    """
+    lat_s, lat_r = _lattice(s, s_line), _lattice(rs, r_line)
+    if blocks and lat_s is not None and lat_r is not None:
+        (h_s, i), (h_r, j) = lat_s, lat_r
+        top = max(int(i[n1 - 1]) * int(j[k - 1]) for _, n1, k in blocks)
+        pairs = sum((n1 - n0) * k for n0, n1, k in blocks)
+        if top + 1 < pairs and top < HANKEL_CHUNK * rs.size:
+            J = bessel.j_grid(b, float(h_s * h_r) * np.arange(top + 1))
+            # real GEMM: the real and imaginary parts of w as two columns
+            w2 = np.ascontiguousarray(w, dtype=complex).view(float).reshape(-1, 2)
+
+            def chunk(c, e, k):
+                return (J[np.multiply.outer(i[c:e], j[:k])] @ w2[:k]).view(complex)[:, 0]
+            return _block_sums(s.size, rs.size, blocks, chunk)
+    return _direct_sum(b, w, rs, s, blocks)
 
 
 def _hankel_integrals(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray,
@@ -438,8 +499,8 @@ def _far_field_sum(b: float, w: np.ndarray, rs: np.ndarray, s: np.ndarray):
     # near field: s below the top band's threshold sees every radius, and each
     # band's threshold cuts the radii seen off at that band's start
     cuts = [(0, rs.size)] + [(first, start) for start, _, first in bands] + [(s.size, 0)]
-    out += _direct_sum(b, w, rs, s, [(n0, n1, width) for (n0, width), (n1, _) in
-                                     zip(cuts, cuts[1:]) if n1 > n0 and width])
+    out += _near_sum(b, w, rs, s, r_line, s_line, [
+        (n0, n1, width) for (n0, width), (n1, _) in zip(cuts, cuts[1:]) if n1 > n0 and width])
     far = np.arange(bands[0][2], s.size)
     hold = far[np.unique(np.linspace(0, far.size - 1, FAR_HOLDOUT_POINTS).round().astype(int))]
     miss = np.abs(_direct_sum(b, w, rs, s[hold]) - out[hold])
@@ -535,10 +596,17 @@ def _modal_masses(betas: np.ndarray, a: np.ndarray, r_src: np.ndarray, t: float,
 
 
 def _evaluation_grid(u0: PolarField, t: float, k_rad: float) -> np.ndarray:
-    """The automatic s grid for u0 with radial bandwidth k_rad."""
+    """The automatic s grid for u0 with radial bandwidth k_rad.
+
+    Its last point is checked against the source-resolution rule before the
+    grid is allocated, so a tiny t is refused, not allocated; n is a float,
+    inf where r_eval / 2t overflows.
+    """
     r_eval = float(u0.r[-1]) + 2.0 * t * (1.25 * k_rad + 1.0)
     ds = math.pi / (S_OVERSAMPLE * float(u0.r[-1]))
-    return ds * np.arange(int(math.ceil(r_eval / (2.0 * t) / ds)) + 1)
+    n = float(np.ceil(r_eval / (2.0 * t) / ds))
+    _check_source_resolution(u0, ds * n, t)
+    return ds * np.arange(int(n) + 1)
 
 
 def _evolve_core(src: _Source, t: float, r_out: np.ndarray | None):
@@ -563,7 +631,7 @@ def _evolve_core(src: _Source, t: float, r_out: np.ndarray | None):
             raise InvalidInput("output radii must be nonnegative")
         _check_uniform(r_out)   # the output field's grid, refused before the quadrature
         s = r_out / (2.0 * t)
-    _check_source_resolution(u0, float(np.max(s)), t)
+        _check_source_resolution(u0, float(np.max(s)), t)
 
     keep, a, Psi = src.modes
     betas = data.beta[keep]
@@ -747,11 +815,18 @@ class DecayReport:
 
 
 def decay_profile(data: KernelEigendata, u0: PolarField, times) -> DecayReport:
-    """|t| |u(t)|_inf / |u0|_L1 over the given times, with L^2 drift tracking."""
+    """|t| |u(t)|_inf / |u0|_L1 over the given times, with L^2 drift tracking.
+
+    Zero initial data is InvalidInput: both statistics divide by its norms.
+    """
     ts = [float(t) for t in times]
     positive = [abs(t) for t in ts if t != 0.0]
     if len(positive) < 2 or max(positive) < 1e3 * min(positive):
         raise InvalidInput("decay sweep must span at least three decades of t")
+    if not np.any(u0.values):
+        raise InvalidInput("initial data is zero on its grid (a ring narrower than the "
+                           "radial spacing underflows); the decay functional divides by "
+                           "its L1 norm")
     src = _Source(data, u0)   # u0-only work, once for the sweep
     l2_0 = u0.l2_norm()
     rows = []

@@ -84,3 +84,31 @@ def test_one_sup_scan_is_one_grid_and_one_cutoff_per_rho():
     assert tr.counts["kernel.cutoff_calls"] == rho.size
     cuts = [kernel.truncation(data, float(r), kernel.DEFAULT_TOL)[0] for r in rho]
     assert tr.counts["kernel.terms_used"] == sum(cuts)
+
+
+def test_hankel_counter_is_the_lattice_and_the_holdout_pairs(monkeypatch):
+    # the near field takes one J value per lattice point, not one per pair:
+    # a traced run measures that work only while the counter sees K + 1
+    # values for the lattice call and one per pair for the far-field holdout
+    from emschro import propagator
+
+    tracer = _load_tracer()
+    u0 = propagator.gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=4)
+    t = 0.1
+    s = propagator._evaluation_grid(u0, t, propagator.radial_bandwidth(u0))
+    a = u0.values[:, :1].T
+    (_, rs, _), = propagator._mode_weights(a, u0.r, t)
+    seen = []
+    real = propagator._near_sum
+    monkeypatch.setattr(propagator, "_near_sum",
+                        lambda *args: seen.append(args[-1]) or real(*args))
+    with tracer.Tracer() as tr:
+        propagator._hankel_integrals(np.array([0.3]), a, u0.r, t, s)
+    blocks, = seen
+    # s = ds n and rs = dr (lo + 1 + j): block (n0, n1, k) reaches (n1 - 1)(lo + k)
+    lo = round(rs[0] / (u0.r[1] - u0.r[0])) - 1
+    top = max((n1 - 1) * (lo + k) for _, n1, k in blocks)
+    holdout = propagator.FAR_HOLDOUT_POINTS * rs.size
+    assert tr.counts["bessel.j_grid_calls"] == 2
+    assert tr.counts["propagator.hankel_j_values"] == top + 1 + holdout
+    assert top + 1 < sum((n1 - n0) * k for n0, n1, k in blocks) / 2

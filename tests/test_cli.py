@@ -202,6 +202,28 @@ def test_decay_refuses_a_ring_past_r_max_before_any_solve(tmp_path, monkeypatch,
     assert "r_max > r0" in capsys.readouterr().err
 
 
+def test_decay_refuses_a_ring_that_underflows_to_zero(tmp_path, capsys):
+    # w = 1e-6 is far below the radial spacing: every sample of the ring is 0
+    cfg = write_config(tmp_path, "zero.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "decay": {"M": 16, "n_r": 2048, "t_list": [1.0, 1000.0], "w": 1e-6},
+    })
+    assert cli.main(["decay", cfg]) == cli.EXIT_CONFIG
+    assert "initial data is zero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t", [1e-300, 5e-324])
+def test_decay_refuses_a_tiny_time_as_a_resolution_failure(tmp_path, capsys, t):
+    cfg = write_config(tmp_path, "tiny.json", {
+        "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "decay": {"M": 16, "n_r": 2048, "t_list": [t, 1.0]},
+    })
+    assert cli.main(["decay", cfg]) == cli.EXIT_RESOLUTION
+    assert f"too coarse for t = {t}: 2048 points, need at least" in capsys.readouterr().err
+
+
 def test_decay_snapshots_load_back_as_the_evolved_fields(tmp_path):
     cfg = write_config(tmp_path, "snap.json", {
         "potential": {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]},

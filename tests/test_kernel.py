@@ -181,6 +181,33 @@ def test_sup_scan_reports_the_first_of_tied_maxima():
     assert np.all(rep.row_argmax[:, 0] == 0.0)
 
 
+def _spy_on_rows(monkeypatch):
+    """Rows each `psi_values` call builds, in call order."""
+    built = []
+    real = kernel.KernelEigendata.psi_values
+
+    def spy(self, theta, rows=None):
+        out = real(self, theta, rows)
+        built.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(kernel.KernelEigendata, "psi_values", spy)
+    return built
+
+
+def test_scans_build_only_the_angular_rows_they_sum(small_gap_grid, gap_case, monkeypatch):
+    data = ab_eigendata(0.3, 60)
+    rho = np.linspace(0.0, 10.0, 25)
+    cuts = [kernel.truncation(data, float(r), kernel.DEFAULT_TOL)[0] for r in rho]
+    assert max(cuts) < data.count
+    built = _spy_on_rows(monkeypatch)
+    sup_scan(data, rho_max=10.0, n_rho=rho.size, n_theta=8)
+    assert built == [max(cuts)]            # theta' is theta: one build
+    built.clear()
+    rep = difference_scan(gap_case, ells=(4, 8), rho_max=GAP_RHO_MAX)
+    assert built == [rep.rows[0].terms]    # one row per paired mode
+
+
 @pytest.mark.parametrize("k,n_rho,n_theta", [(166, 200, 64), (304, 120, 48), (1, 120, 48)])
 def test_mode_sum_matches_a_per_mode_loop(k, n_rho, n_theta):
     rng = np.random.default_rng(k)

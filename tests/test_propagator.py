@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,116 @@ def test_grid_off_its_line_goes_direct(perturbed):
                           _direct_integrals_at(betas, a, r, t, s))
 
 
+def _spy_on_j_grid(monkeypatch):
+    """Argument arrays of every `bessel.j_grid` call: the lattice route passes
+    h (0 .. K), 1-D; the pairwise route passes the outer product s x r', 2-D."""
+    args = []
+    real = bessel.j_grid
+
+    def spy(nu, x):
+        args.append(np.asarray(x))
+        return real(nu, x)
+
+    monkeypatch.setattr(bessel, "j_grid", spy)
+    return args
+
+
+def _near_blocks(monkeypatch, beta, w, rs, s):
+    """The near-field blocks `_far_field_sum` hands on, and its result."""
+    seen = []
+    real = propagator._near_sum
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(propagator, "_near_sum", spy)
+    fast = _far_field_sum(beta, w, rs, s)
+    monkeypatch.setattr(propagator, "_near_sum", real)
+    assert fast is not None and len(seen) == 1
+    return seen[0], fast
+
+
+@pytest.mark.parametrize("stride,width,half_offset", [
+    (1, 1.0, False), (1, 1.0, True), (2, 1.0, False), (2, 1.0, True), (17, 1.0, False),
+    (1, 0.8, False), (1, 0.8, True), (17, 0.8, False)])
+def test_lattice_route_matches_the_pairwise_sum(monkeypatch, stride, width, half_offset):
+    # s0 = 0 and ds/2; source sub-grids r[m-1::m]; a 0.8-wide ring's support
+    # slice starts at lo > 0
+    t = 0.1
+    _, _, s = _ring_weights(t, half_offset)
+    u0 = gaussian_ring(5.0, width, 3886, 12.0, n_theta=4)
+    r = u0.r[stride - 1::stride]
+    (_, rs, w), = _mode_weights(u0.values[stride - 1::stride, :1].T, r, t)
+    assert (rs[0] > r[0]) == (width < 1.0)
+    blocks, _ = _near_blocks(monkeypatch, 0.3, w, rs, s)
+    args = _spy_on_j_grid(monkeypatch)
+    near = propagator._near_sum(0.3, w, rs, s, propagator._affine(rs), propagator._affine(s),
+                                blocks)
+    assert len(args) == 1 and args[0].ndim == 1 and args[0][0] == 0.0
+    assert args[0].size < sum((n1 - n0) * k for n0, n1, k in blocks)
+    pairwise = _direct_sum(0.3, w, rs, s, blocks)
+    top = np.max(np.abs(_direct_sum(0.3, w, rs, s)))
+    assert np.max(np.abs(near - pairwise)) <= 1e-13 * top
+
+
+@pytest.mark.parametrize("t", [0.1, 0.3])
+def test_one_lattice_call_per_mode_and_pairwise_holdouts(monkeypatch, data_ab, t):
+    u0 = gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=64, angular_mode=1)
+    betas, a = np.array([0.3, 1.3, 2.7]), np.tile(u0.values[:, 0], (3, 1))
+    n_src = u0.r.size
+    args = _spy_on_j_grid(monkeypatch)
+    # the automatic s grid: per mode one lattice call, then the far-field
+    # holdout's FAR_HOLDOUT_POINTS s pair by pair
+    _hankel_integrals(betas, a, u0.r, t, _evaluation_grid(u0, t, radial_bandwidth(u0)))
+    assert [x.ndim for x in args] == [1, 2] * betas.size
+    assert all(x.shape[0] == propagator.FAR_HOLDOUT_POINTS for x in args[1::2])
+    assert max(x.size for x in args) <= propagator.HANKEL_CHUNK * n_src
+    # a requested grid: the rule's half-offset grid as above, then the
+    # interpolant's HOLDOUT_POINTS requested s pair by pair
+    args.clear()
+    r_out = np.linspace(0.0, 14.0, 4001)
+    assert _interpolated_integrals(betas, a, u0.r, 0.3, r_out / 0.6) is not None
+    assert [x.ndim for x in args] == [1, 2] * betas.size + [2] * betas.size
+    assert all(x.shape[0] == HOLDOUT_POINTS for x in args[-betas.size:])
+
+
+def test_radii_off_the_lattice_go_pairwise(monkeypatch):
+    # r = dr (j + 0.3) is affine, but r0 / dr is neither an integer nor a half-integer
+    t = 0.1
+    u0 = gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=4)
+    s = _evaluation_grid(u0, t, radial_bandwidth(u0))
+    dr = u0.r[1] - u0.r[0]
+    r = dr * (np.arange(u0.r.size) + 0.3)
+    (_, rs, w), = _mode_weights(np.exp(-(r - 5.0) ** 2)[None, :], r, t)
+    assert propagator._affine(rs) is not None
+    assert propagator._lattice(rs, propagator._affine(rs)) is None
+    args = _spy_on_j_grid(monkeypatch)
+    fast = _far_field_sum(0.3, w, rs, s)
+    assert fast is not None and all(x.ndim == 2 for x in args)
+    direct = _direct_sum(0.3, w, rs, s)
+    assert np.max(np.abs(fast - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("case", ["last_rows", "stride_17_half_offset"])
+def test_a_lattice_larger_than_its_pairs_goes_pairwise(monkeypatch, case):
+    if case == "last_rows":
+        # the last 10 s against every radius: the lattice would reach i_max j_max
+        rs, w, s = _ring_weights(0.1)
+        blocks = [(s.size - 10, s.size, rs.size)]
+    else:
+        # the far field's own blocks; odd i on the half-offset grid double K
+        u0 = gaussian_ring(5.0, 1.0, 3886, 12.0, n_theta=4)
+        _, _, s = _ring_weights(0.1, half_offset=True)
+        (_, rs, w), = _mode_weights(u0.values[16::17, :1].T, u0.r[16::17], 0.1)
+        blocks, _ = _near_blocks(monkeypatch, 0.3, w, rs, s)
+    args = _spy_on_j_grid(monkeypatch)
+    got = propagator._near_sum(0.3, w, rs, s, propagator._affine(rs), propagator._affine(s),
+                               blocks)
+    assert args and all(x.ndim == 2 for x in args)
+    assert np.array_equal(got, _direct_sum(0.3, w, rs, s, blocks))
+
+
 @pytest.mark.parametrize("beta", [0.3, 1.3])
 def test_laguerre_gauss_ring_matches_its_closed_form(beta):
     # a(r) = r^{b + 2n} e^{-r^2/w^2} psi_k: Gradshteyn-Ryzhik 6.631.10 gives
@@ -498,6 +609,35 @@ def test_angular_completeness_guard(ring_m1):
 def test_decay_profile_needs_three_decades(ring_m1, data_ab):
     with pytest.raises(InvalidInput):
         decay_profile(data_ab, ring_m1, [1.0, 2.0, 4.0])
+
+
+def test_decay_profile_refuses_zero_data_before_any_quadrature(monkeypatch, ring_m1, data_ab):
+    # evolve of zero stays zero; the decay statistics divide by |u0|_1 and |u0|_2
+    zero = dataclasses.replace(ring_m1, values=np.zeros_like(ring_m1.values))
+    monkeypatch.setattr(propagator, "_evolve_core", None)
+    with pytest.raises(InvalidInput, match="initial data is zero"):
+        decay_profile(data_ab, zero, [1.0, 1000.0])
+
+
+@pytest.mark.parametrize("t,need", [(1e-5, "36669518"), (1e-300, "3.67e+302"),
+                                    (5e-324, "inf")])
+def test_a_tiny_time_is_refused_before_its_grid_exists(monkeypatch, data_ab, t, need):
+    # at t = 1e-5 the s grid would hold 9e6 points (73 MB); at 1e-300 numpy
+    # cannot size it, and at 5e-324 r / 2t overflows to inf.  A count of 300
+    # digits is written in floating point.
+    u0 = gaussian_ring(5.0, 1.0, 2048, 12.0, n_theta=4, angular_mode=1)
+    monkeypatch.setattr(propagator, "modal_coefficients", None)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResolutionError) as exc:
+            evolve(data_ab, u0, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert exc.value.suggested_n > 3e7
+    assert str(exc.value).endswith(f"2048 points, need at least {need}")
+    assert required_source_points(12.0, 0.0, 5e-324) == math.inf
 
 
 def test_decay_profile_does_u0_work_once_per_sweep(monkeypatch, ring_m1, data_ab):
