@@ -116,7 +116,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
 
     if cls is ResonanceClass.NON_RESONANT:
         j_list = list(range(sec["j_min"], sec["j_max"] + 1))
-        table = wkb.asymptotic_residuals(dec, j_list, grid_n=sec["grid_n"])
+        table = wkb.asymptotic_residuals(dec, j_list)
         _write_csv(
             _out(cfg, out_dir, "residuals.csv"),
             ["j", "k", "mu", "eig_residual", "scaled_eig", "sup_R", "scaled_sup",
@@ -245,7 +245,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
         **_work_sizes(dec),
     }
     if _is_pure_ab(p):
-        ab = kernel.ab_eigendata(p.reduced_circulation, (data.count - 1) // 2)
+        ab = kernel.circulation_eigendata(p.circulation, (data.count - 1) // 2)
         diffs = [
             abs(kernel.kernel_value(data, 1.0, 0.4, 0.0).value
                 - kernel.kernel_value(ab, 1.0, 0.4, 0.0).value),

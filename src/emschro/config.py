@@ -60,7 +60,7 @@ _FINITE_NUMBERS = _list_of(_is_number, "finite numbers")
 _SECTION_SCHEMAS = {
     "spectrum": {
         "M": (64, _POSITIVE_INT), "j_min": (8, _POSITIVE_INT),
-        "j_max": (24, _POSITIVE_INT), "grid_n": (2048, _POSITIVE_INT),
+        "j_max": (24, _POSITIVE_INT),
         "cluster_k_min": (10, _POSITIVE_INT), "cluster_k_max": (40, _POSITIVE_INT),
         "k_values": (None, _POSITIVE_INTS), "j_values": (None, _POSITIVE_INTS),
     },

@@ -84,20 +84,14 @@ def _padded(c: np.ndarray, bw: int) -> np.ndarray:
     return out
 
 
-def _diagonals(p: AngularPotential, M: int):
-    """Diagonals of the (2M+1)^2 matrix: (m, cols, entries (cols + m, cols)).
-
-    The entry (j + m, j) is V_m + 2 j A_m, plus j^2 on the main diagonal; m
-    runs over -b..b with b = max(bw(a), 2 bw(A)) capped at 2M.
-    """
-    V, A, bw = _convolved_coeffs(p)
-    js = np.arange(-M, M + 1)
-    n = js.size
-    b = min(bw, n - 1)
-    for m in range(-b, b + 1):
-        cols = np.arange(max(0, -m), min(n, n - m))
-        d = V[bw + m] + 2.0 * js[cols] * A[bw + m]
-        yield m, cols, js.astype(float) ** 2 + d if m == 0 else d
+def _entries(V: np.ndarray, A: np.ndarray, bw: int, rows: np.ndarray,
+             cols: np.ndarray) -> np.ndarray:
+    """The operator's entries H[j', j] = j^2 delta + V_{j'-j} + 2 j A_{j'-j} for
+    broadcast mode arrays `rows` (j') and `cols` (j); 0 for |j' - j| > bw."""
+    d = rows - cols
+    k = np.clip(d + bw, 0, 2 * bw)
+    H = np.where(np.abs(d) <= bw, V[k] + 2.0 * cols * A[k], 0.0)
+    return H + np.where(d == 0, cols.astype(float) ** 2, 0.0)
 
 
 def assemble_matrix(p: AngularPotential, M: int) -> np.ndarray:
@@ -109,16 +103,11 @@ def assemble_matrix(p: AngularPotential, M: int) -> np.ndarray:
     """
     if M < 1:
         raise InvalidInput("M must be >= 1")
-    return _band(p, M)
-
-
-def _band(p: AngularPotential, M: int) -> np.ndarray:
-    diagonals = list(_diagonals(p, M))
-    b = len(diagonals) // 2
-    ab = np.zeros((2 * b + 1, 2 * M + 1), dtype=complex)
-    for m, cols, d in diagonals:
-        ab[b + m, cols] = d
-    return ab
+    V, A, bw = _convolved_coeffs(p)
+    js = np.arange(-M, M + 1)
+    b = min(bw, 2 * M)
+    rows = js + np.arange(-b, b + 1)[:, None]
+    return np.where(np.abs(rows) <= M, _entries(V, A, bw, rows, js), 0.0)
 
 
 @dataclass(frozen=True)
@@ -203,20 +192,16 @@ def _phase_fix(U: np.ndarray) -> np.ndarray:
 def _hermitian_part(ab: np.ndarray) -> tuple[np.ndarray, float]:
     """0.5 (H + H^H) in general band storage, and the defect max |H - H^H|.
 
-    Each entry (j + m, j) meets its partner (j, j + m) once, so both come from
-    the +-m diagonal pairs with the arithmetic of the dense formulas.
+    Entry (j + m, j) at ab[b + m, j] meets its partner (j, j + m) at ab[b - m,
+    j + m], one gather from the reversed rows; storage outside H is ignored.
     """
     b = ab.shape[0] // 2
     n = ab.shape[1]
-    herm = np.zeros_like(ab)
-    herm[b] = ab[b].real
-    defect = 2.0 * float(np.max(np.abs(ab[b].imag)))
-    for m in range(1, b + 1):
-        low, up = ab[b + m, :n - m], ab[b - m, m:]
-        defect = max(defect, float(np.max(np.abs(low - up.conj()))))
-        herm[b + m, :n - m] = 0.5 * (low + up.conj())
-        herm[b - m, m:] = herm[b + m, :n - m].conj()
-    return herm, defect
+    cols = np.arange(n) + np.arange(-b, b + 1)[:, None]
+    inside = (cols >= 0) & (cols < n)
+    partner = np.take_along_axis(ab[::-1], np.clip(cols, 0, n - 1), axis=1).conj()
+    defect = float(np.max(np.abs(ab - partner), where=inside, initial=0.0))
+    return np.where(inside, 0.5 * (ab + partner), 0.0), defect
 
 
 def _shifted_matvec(bands: np.ndarray, X: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -516,16 +501,6 @@ def compute_spectrum(p: AngularPotential, M: int) -> SpectralDecomposition:
                    outer_floor=floor)
 
 
-def _operator_block(V: np.ndarray, A: np.ndarray, bw: int, rows: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-    """The operator's entries H[j', j] = j^2 delta + V_{j'-j} + 2 j A_{j'-j}
-    over the modes `rows` x `cols`, as `_diagonals` assembles them."""
-    d = rows[:, None] - cols[None, :]
-    k = np.clip(d + bw, 0, 2 * bw)
-    H = np.where(np.abs(d) <= bw, V[k] + 2.0 * cols * A[k], 0.0)
-    return H + np.where(d == 0, cols.astype(float) ** 2, 0.0)
-
-
 def _enclosures(dec: SpectralDecomposition) -> tuple[np.ndarray, float]:
     """Radii of enclosures [lower_k, mu_k + rho_k] of the operator's
     eigenvalues lambda_k (inf at or above the outer floor q), and q.
@@ -570,9 +545,9 @@ def _enclosures(dec: SpectralDecomposition) -> tuple[np.ndarray, float]:
         for side in (1.0, -1.0):   # min over |j| > M + L of the row's Gershgorin floor
             j = max(M + L + 1.0, a_off - side * A0)
             q2 = min(q2, j * j + 2.0 * j * (side * A0 - a_off) + V0 - v_off - 2.0 * bw * a_off)
-        HN = _operator_block(V, A, bw, near, near)
+        HN = _entries(V, A, bw, near[:, None], near)
         c = float(np.min(HN.diagonal().real))
-        C2 = _operator_block(V, A, bw, far, near)
+        C2 = _entries(V, A, bw, far[:, None], near)
         if q2 - c >= np.linalg.norm(C2) or L >= 16 * OUTER_MODES:
             break
         L *= 2
@@ -583,7 +558,7 @@ def _enclosures(dec: SpectralDecomposition) -> tuple[np.ndarray, float]:
     q = float(theta[0]) - 4 * L * eps * float(np.max(np.abs(Ht)))
     coupled = np.abs(near) <= M + bw
     edge = np.arange(-M, M + 1)[np.abs(np.arange(-M, M + 1)) > M - bw]
-    R = _operator_block(V, A, bw, near[coupled], edge) @ U[edge + M]
+    R = _entries(V, A, bw, near[coupled][:, None], edge) @ U[edge + M]
     d2 = np.sum(R.real ** 2 + R.imag ** 2, axis=0)
     S = d2 > eps
     rest = float(np.sum(d2[~S]))

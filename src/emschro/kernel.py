@@ -364,14 +364,15 @@ def difference_ells(ells, rho_max: float) -> tuple[list[int], int]:
 
 
 def difference_scan(dec: SpectralDecomposition, ells, rho_max: float) -> DifferenceReport:
-    """D(ell) = max over the grid of |Sigma_{|j|>=ell} - e^{i Abar dtheta} Sigma^{ab}_{|j|>=ell}|.
+    """D(ell) = max over the grid of |Sigma_{|j|>=ell} - e^{i Atil dtheta} Sigma^{ab}_{|j|>=ell}|.
 
     Sigma is the gauge-stripped tail (each mode times sqrt(2 pi)
     `AngularPotential.gauge`) of the full kernel paired by signed mode index;
-    Sigma^{ab} the constant-circulation comparison with alpha = Abar.
-    Both tails stop at the same |j| <= j_max.  Each pair adds two rows to one
-    mode sum: its gauge-stripped mode, and its model mode e^{i(j+Abar)theta}
-    with negated weight.  Bands of |j| are added from the top down, so D(ell)
+    Sigma^{ab} the constant-circulation comparison with alpha = Abar, and
+    Atil the full circulation.  Both tails stop at the same |j| <= j_max.
+    Each pair adds two rows to one mode sum: its gauge-stripped mode, and its
+    model mode (`AngularPotential.model_modes`) with negated weight and order
+    |j + Abar|.  Bands of |j| are added from the top down, so D(ell)
     reads the running sum once every |j| >= ell is in.
     """
     ells, j_max = difference_ells(ells, rho_max)
@@ -391,7 +392,7 @@ def difference_scan(dec: SpectralDecomposition, ells, rho_max: float) -> Differe
     # the negated weight's sign beside its phase
     orders = np.column_stack([data.beta[k], np.abs(j + ab)]).ravel()
     W = bessel.j_orders(orders, rho)
-    P = np.stack([chi, np.exp(1j * np.outer(j + ab, th))], axis=1).reshape(-1, th.size)
+    P = np.stack([chi, p.model_modes(j, th)], axis=1).reshape(-1, th.size)
     L = _phases(orders)[:, None] * P
     L[1::2] = -L[1::2]
     level = np.repeat(np.abs(j), 2)

@@ -137,6 +137,11 @@ class AngularPotential:
         th = np.asarray(theta, dtype=float)
         return np.exp(1j * (self.circulation_floor * th + self.integral_A(th)))
 
+    def model_modes(self, js, theta) -> np.ndarray:
+        """Rows e^{i(Atil + j) theta}, one per signed index j in `js`, Atil the
+        full circulation: the modes that sqrt(2 pi) `gauge` * psi_j approaches."""
+        return np.exp(1j * np.outer(self.circulation + np.asarray(js), theta))
+
 
 def theta_grid(n: int) -> np.ndarray:
     if n < 4:

@@ -684,7 +684,7 @@ def _spectral_refine(rows: np.ndarray, n_coarse: int) -> np.ndarray:
 
 
 def solve_banded(factors: list, rhs: np.ndarray) -> np.ndarray:
-    """One Crank-Nicolson step: v with (I + i dt/2 H) v = rhs, from zgttrf's factors.
+    """One Crank-Nicolson solve: v with (I + i dt/2 H) v = rhs, from zgttrf's factors.
 
     rhs is overwritten.
     """
@@ -725,24 +725,18 @@ def crank_nicolson_oracle(data: KernelEigendata, u0: PolarField, t: float,
     fine = _spectral_refine(a_keep, n_coarse)
     sqrt_r = np.sqrt(r)
     out_modes = np.zeros((keep.size, n_r), dtype=complex)
-    off = -1.0 / dr ** 2
-    # I +- i dt/2 H for the theta method: the implicit side is factored once
-    # per mode, the explicit side is a diagonal and one off-diagonal scalar
-    implicit_off = np.full(n_r - 1, 1j * dt / 2.0 * off, dtype=complex)
-    explicit_off = -1j * dt / 2.0 * off
+    # the step in Cayley form, (I + B)^{-1} (I - B) v = 2 (I + B)^{-1} v - v with
+    # B = i dt/2 H: I + B is factored once per mode, and a step is one solve
+    off = np.full(n_r - 1, 1j * dt / 2.0 * (-1.0 / dr ** 2), dtype=complex)
     for row, k in enumerate(keep):
         v = fine[row] * sqrt_r
         diag = 2.0 / dr ** 2 + (float(data.mu[k]) - 0.25) / r ** 2
-        *factors, info = zgttrf(implicit_off, 1.0 + 1j * dt / 2.0 * diag, implicit_off)
+        *factors, info = zgttrf(off, 1.0 + 1j * dt / 2.0 * diag, off)
         if info != 0:
             raise InvalidMatrix(f"Crank-Nicolson matrix of mode {k} is singular "
                                 f"(zgttrf info {info})")
-        explicit_diag = 1.0 - 1j * dt / 2.0 * diag
         for _ in range(n_steps):
-            rhs = explicit_diag * v
-            rhs[1:] += explicit_off * v[:-1]
-            rhs[:-1] += explicit_off * v[1:]
-            v = solve_banded(factors, rhs)
+            v = solve_banded(factors, 2.0 * v) - v
         if not np.all(np.isfinite(v)):
             raise InvalidInput(f"Crank-Nicolson field of mode {k} is not finite")
         out_modes[row] = v / sqrt_r

@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import InvalidInput, NoConvergence, ResonantParameter
 from .galerkin import SpectralDecomposition, _phase_fix, loglog_slope, pair_modes
-from .potentials import AngularPotential, default_grid_size, theta_grid
+from .potentials import (AngularPotential, default_grid_size, power_of_two_at_least,
+                         theta_grid)
 
 DEFAULT_DELTA = 0.05
 FP_TOL = 1e-13
@@ -215,23 +216,26 @@ class ResidualTable:
     ell_eff: int
 
 
-def asymptotic_residuals(dec: SpectralDecomposition, j_list,
-                         grid_n: int = 2048) -> ResidualTable:
-    """Eigenvalue and eigenfunction deviation table for the paired indices."""
+def asymptotic_residuals(dec: SpectralDecomposition, j_list) -> ResidualTable:
+    """Eigenvalue and eigenfunction deviation table for the paired indices.
+
+    The eigenfunctions are sampled on power_of_two_at_least(max(2048, 2M + 2))
+    angles, which hold every stored mode at any M.
+    """
     p = dec.potential
     ab = p.reduced_circulation
     atil = p.a_mean
     js = [int(j) for j in j_list]
     pairs = pair_modes(dec, js)
+    grid_n = power_of_two_at_least(max(2048, 2 * dec.M + 2))
     th = theta_grid(grid_n)
     psi = dec.eigenfunctions_on_grid(grid_n, [pr.k for pr in pairs])
     gauge = p.gauge(th)
     rows = []
-    for pr, psi_k in zip(pairs, psi.T):
+    for pr, psi_k, g in zip(pairs, psi.T, p.model_modes([pr.j for pr in pairs], th)):
         mu = float(dec.eigenvalues[pr.k])
         eig_res = abs(mu - atil - (pr.j + ab) ** 2)
         f = math.sqrt(2.0 * math.pi) * gauge * psi_k
-        g = np.exp(1j * (p.circulation + pr.j) * th)
         z = np.mean(np.conj(f) * g)
         c = z / abs(z) if abs(z) > 0 else 1.0
         R = c * f - g

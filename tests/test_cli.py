@@ -129,6 +129,17 @@ def test_spectrum_certifies_a_large_truncation(tmp_path):
     assert budget["outer_floor_gap"] > 0.0
 
 
+def test_spectrum_samples_residuals_on_a_grid_that_holds_every_mode(tmp_path):
+    # a fixed 2048-point grid once refused M >= 1024 with exit 2
+    config = write_config(tmp_path, "wide.json", {
+        "potential": {"a_coeffs": [[0.1, 0.0], [0.0, 0.0], [0.1, 0.0]],
+                      "A_coeffs": [[0.3, 0.0]]},
+        "output_dir": str(tmp_path / "out"),
+        "spectrum": {"M": 1030},
+    })
+    assert cli.main(["spectrum", config]) == cli.EXIT_PASS
+
+
 def test_refusals_name_the_bound_that_stopped_the_certified_run(tmp_path, capsys):
     # a = cos(theta) + 0.5 sin(2 theta), A = 0.3 + 0.2 cos(theta) at M = 6: the
     # fifth eigenvalue's enclosure is too wide, well below the outer floor
@@ -263,7 +274,8 @@ def test_exit_code_config_errors(tmp_path):
 
 
 @pytest.mark.parametrize("section,key,value", [
-    ("spectrum", "delta", 0.05), ("wkb", "grid_n", 512), ("decay", "preset", "gaussian_ring"),
+    ("spectrum", "delta", 0.05), ("spectrum", "grid_n", 2048), ("wkb", "grid_n", 512),
+    ("decay", "preset", "gaussian_ring"),
     pytest.param(None, "seed", 11, id="top-level-seed-11"),
 ])
 def test_keys_that_changed_nothing_are_config_errors(tmp_path, section, key, value):

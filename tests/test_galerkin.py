@@ -9,7 +9,8 @@ from emschro import galerkin
 from emschro.errors import InvalidInput, InvalidMatrix, NoConvergence
 from emschro.galerkin import (
     RESOLVE_RTOL,
-    _diagonals,
+    _convolved_coeffs,
+    _entries,
     assemble_matrix,
     cluster_check,
     compute_spectrum,
@@ -22,13 +23,11 @@ from emschro.potentials import build_potential, constant_potential, theta_grid
 
 
 def dense_matrix(p, M) -> np.ndarray:
-    """The (2M+1)^2 matrix as assembled, built densely from its diagonals: the
-    independent reference the band route is checked against."""
-    n = 2 * M + 1
-    H = np.zeros((n, n), dtype=complex)
-    for m, cols, d in _diagonals(p, M):
-        H[cols + m, cols] += d
-    return H
+    """The (2M+1)^2 matrix as assembled, built densely from the entry formula
+    that the band storage and the certificate read."""
+    V, A, bw = _convolved_coeffs(p)
+    js = np.arange(-M, M + 1)
+    return _entries(V, A, bw, js[:, None], js)
 
 
 def dense_eigh(p, M):
@@ -81,6 +80,24 @@ def test_band_storage_reproduces_the_assembled_matrix(request, name, M, b):
         for i in range(max(0, j - b), min(n, j + b + 1)):
             band[i, j] = full[b + i - j, j]
     assert np.array_equal(band, H)
+
+
+@pytest.mark.parametrize("name", ["p_cos", "p_mixed", "strong_A"])
+def test_entries_are_the_fourier_coefficients_of_L_on_the_basis(request, name):
+    # L e_j = (j^2 + a + A^2 - i A' + 2 j A) e_j, sampled on a fine grid with a
+    # spectral A' and transformed: the matrix without the entry formula
+    p = (build_potential(a_coeffs=[0.5, 0.0, 0.5], A_coeffs=[3.0, 0.3, 3.0])
+         if name == "strong_A" else request.getfixturevalue(name))
+    M, n = 16, 256
+    th = theta_grid(n)
+    a, A = p.a_values(th), p.A_values(th)
+    dA = np.fft.ifft(1j * np.fft.fftfreq(n, 1.0 / n) * np.fft.fft(A)).real
+    js = np.arange(-M, M + 1)
+    Lej = (js[:, None] ** 2 + a + A ** 2 - 1j * dA + 2 * js[:, None] * A) * np.exp(
+        1j * np.outer(js, th))
+    ref = (np.fft.fft(Lej, axis=1) / n)[:, js % n].T    # ref[j', j]
+    H = dense_matrix(p, M)
+    assert np.max(np.abs(H - ref)) <= 1e-12 * np.max(np.abs(H))
 
 
 def _assert_within_radii(p, dec):
