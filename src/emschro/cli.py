@@ -58,11 +58,11 @@ def _write_csv(path: str, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
-def _sidecar(path: str, cfg: ExperimentConfig, thresholds: dict) -> None:
+def _sidecar(path: str, cfg: ExperimentConfig, section: str, thresholds: dict) -> None:
     import scipy
 
     meta = {
-        "config_hash": config_hash(cfg),
+        "config_hash": config_hash(cfg, section),
         "versions": {"emschro": __version__, "numpy": np.__version__,
                      "scipy": scipy.__version__},
         "thresholds": thresholds,
@@ -167,7 +167,7 @@ def cmd_spectrum(cfg: ExperimentConfig, out_dir: str | None) -> int:
         except SymmetryViolation as exc:
             thresholds["asymptotics_skipped"] = str(exc)
 
-    _sidecar(path, cfg, thresholds)
+    _sidecar(path, cfg, "spectrum", thresholds)
     print(f"spectrum: resolved {dec.resolved_count} eigenvalues, "
           f"class {cls.value}, {'PASS' if passed else 'FAIL'}")
     return EXIT_PASS if passed else EXIT_FAIL
@@ -200,7 +200,7 @@ def cmd_wkb(cfg: ExperimentConfig, out_dir: str | None) -> int:
     _write_csv(path, ["j", "branch", "lambda", "s", "mean_W", "fp_residual",
                       "galerkin_mu", "abs_diff"], rows)
     lam_eff = wkb.discover_lambda_eff(p, delta=sec["delta"])
-    _sidecar(path, cfg, {"lambda_eff": lam_eff, "worst_match": worst, **_work_sizes(dec)})
+    _sidecar(path, cfg, "wkb", {"lambda_eff": lam_eff, "worst_match": worst, **_work_sizes(dec)})
     passed = worst < 1e-6
     print(f"wkb: {len(rows)} eigenvalues, worst Galerkin match {worst:.3e}, "
           f"{'PASS' if passed else 'FAIL'}")
@@ -261,7 +261,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
         thresholds["difference_decreasing"] = diff.decreasing
         thresholds["difference_slope"] = diff.slope
 
-    _sidecar(path, cfg, thresholds)
+    _sidecar(path, cfg, "kernel_scan", thresholds)
     passed = math.isfinite(scan.max_abs) and scan.top_two_decade_variation <= 0.10
     print(f"kernel-scan: max |K| = {scan.max_abs:.6f}, window variation "
           f"{100 * scan.top_two_decade_variation:.2f}%, {'PASS' if passed else 'FAIL'}")
@@ -302,7 +302,7 @@ def cmd_decay(cfg: ExperimentConfig, out_dir: str | None) -> int:
         rep = propagator.evolve(data, u0, t0, r_out=cn.r)
         thresholds["oracle_rel_l2"] = propagator.relative_l2_difference(rep, cn)
 
-    _sidecar(path, cfg, thresholds)
+    _sidecar(path, cfg, "decay", thresholds)
     passed = report.l2_max_drift <= 1e-5 and math.isfinite(report.empirical_constant)
     if sec["oracle"]:
         passed = passed and thresholds["oracle_rel_l2"] <= 1e-3

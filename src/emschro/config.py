@@ -187,8 +187,9 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(doc)
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """SHA-256 of what a run depends on: the merged config and the package version.
+def config_hash(cfg: ExperimentConfig, section: str) -> str:
+    """SHA-256 of what a run of the command reading `section` depends on: the
+    package version, the potential, `output_dir` and that merged section alone.
 
     Omitting a key and spelling out its default hash alike; a changed default
     or a new release changes the hash.
@@ -199,7 +200,7 @@ def config_hash(cfg: ExperimentConfig) -> str:
         "potential": {name: np.column_stack([c.real, c.imag]).tolist()
                       for name, c in (("a", p.a_coeffs), ("A", p.A_coeffs))},
         "output_dir": cfg.output_dir,
-        "sections": cfg.sections,
+        "sections": {section: cfg.sections[section]},
     }
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()

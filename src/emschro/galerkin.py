@@ -176,10 +176,6 @@ class SpectralDecomposition:
         z[self.modes % n, :] = coeffs
         return np.fft.ifft(z, axis=0) * n / math.sqrt(2.0 * math.pi)
 
-    def sup_norms(self) -> np.ndarray:
-        """Rigorous upper bounds of eigenfunction sup norms (l1 of coefficients)."""
-        return np.sum(np.abs(self.coeffs), axis=0) / math.sqrt(2.0 * math.pi)
-
 
 def _phase_fix(U: np.ndarray) -> np.ndarray:
     """Rotate each column of U, in place, so its largest-modulus entry is real positive."""

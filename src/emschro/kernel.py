@@ -15,9 +15,9 @@ J_{beta_k}(rho) stay real, and the phase i^{-beta_k} scales the left angular
 rows psi_k(theta).
 
 Truncation is certified termwise with |J_nu(rho)| <= (rho/2)^nu / Gamma(nu+1)
-and sup-norm bounds on the eigenfunctions; beyond the computed eigendata the
-operator comparison  L >= (-i d/dtheta + Abar)^2 + min(a)  gives the eigenvalue
-lower bound used for the analytic tail.
+and sup norms bounded by coefficient l1 norms; beyond the computed eigendata
+the operator comparison  L >= (-i d/dtheta + Abar)^2 + min(a), with min(a) from
+the potential's l1 norms, gives the eigenvalue lower bound of the analytic tail.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from . import bessel
 from .errors import HypothesisViolation, InsufficientResolution, InvalidInput
 from .galerkin import SpectralDecomposition, loglog_slope, pair_modes
-from .potentials import AngularPotential, theta_grid
+from .potentials import AngularPotential, constant_potential, theta_grid
 
 DEFAULT_TOL = 1e-9
 N_WINDOWS = 8              # geometric sup-scan windows, a quarter decade each
@@ -50,27 +50,26 @@ class KernelEigendata:
     """Angular eigendata packaged for kernel summation, ordered by ascending mu.
 
     `coeffs[:, k]` holds psi_k on modes -M..M of the basis e^{i j theta} /
-    sqrt(2 pi).  `potential` is None for the closed-form constant-circulation
-    modes, whose sup norms are exactly 1 / sqrt(2 pi).
+    sqrt(2 pi), and `potential` is the pair (a, A) they belong to; the orders
+    and every bound are derived from these three.
     """
     mu: np.ndarray = field(repr=False)
-    beta: np.ndarray = field(repr=False)
-    sup_bounds: np.ndarray = field(repr=False)      # per-mode sup-norm bounds
     coeffs: np.ndarray = field(repr=False)          # basis coefficients, one column per mode
-    tail_floor: float        # lower-bound parameters for mu beyond the data:
-    tail_abar: float         # mu_k >= (ceil((k-1)/2) - |tail_abar|)^2 + tail_floor
-    potential: AngularPotential | None = field(repr=False, default=None)
+    potential: AngularPotential = field(repr=False)
 
     @property
     def count(self) -> int:
         return int(self.mu.size)
 
     @cached_property
-    def potential_sups(self) -> tuple[float, float]:
-        """(max |a|, max |A|) of `potential` on a 2048-point grid, computed once."""
-        th = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        return (float(np.max(np.abs(self.potential.a_values(th)))),
-                float(np.max(np.abs(self.potential.A_values(th)))))
+    def beta(self) -> np.ndarray:
+        """Orders beta_k = sqrt(mu_k)."""
+        return np.sqrt(self.mu)
+
+    @cached_property
+    def sup_bounds(self) -> np.ndarray:
+        """Rigorous sup-norm bounds of the psi_k: each column's l1 norm / sqrt(2 pi)."""
+        return np.sum(np.abs(self.coeffs), axis=0) / math.sqrt(2.0 * math.pi)
 
     @cached_property
     def lgamma_beta(self) -> np.ndarray:
@@ -96,13 +95,7 @@ def from_spectrum(dec: SpectralDecomposition, count: int | None = None) -> Kerne
         raise HypothesisViolation(
             f"kernel formula needs a positive ground eigenvalue; got mu_1 = {mu[0]}"
         )
-    p = dec.potential
-    sup = dec.sup_norms()[:n]
-    amin = float(np.min(p.a_values(np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)).real))
-    return KernelEigendata(
-        mu=mu, beta=np.sqrt(mu), sup_bounds=np.asarray(sup), coeffs=dec.coeffs[:, :n],
-        tail_floor=amin, tail_abar=abs(p.reduced_circulation), potential=p,
-    )
+    return KernelEigendata(mu=mu, coeffs=dec.coeffs[:, :n], potential=dec.potential)
 
 
 def ab_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
@@ -126,12 +119,8 @@ def circulation_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
     mu = (ks + alpha) ** 2
     order = np.argsort(mu, kind="stable")
     mu = mu[order]
-    return KernelEigendata(
-        mu=mu, beta=np.sqrt(mu),
-        sup_bounds=np.full(ks.size, 1.0 / math.sqrt(2.0 * math.pi)),
-        coeffs=np.eye(ks.size, dtype=complex)[:, order],
-        tail_floor=0.0, tail_abar=abs(alpha), potential=None,
-    )
+    return KernelEigendata(mu=mu, coeffs=np.eye(ks.size, dtype=complex)[:, order],
+                           potential=constant_potential(alpha))
 
 
 # -- certified truncation --------------------------------------------------------
@@ -142,10 +131,11 @@ def _tail_sup_sq(data: KernelEigendata, mu: float) -> float:
 
     On the circle, |psi|_inf^2 <= |psi|_2^2 / 2pi + 2 |psi|_2 |psi'|_2 and the
     eigenvalue equation bounds |psi'|_2 by sqrt(mu) plus potential norms.
+    Constant a and A have the eigenfunctions e^{ij theta} / sqrt(2 pi) exactly.
     """
-    if data.potential is None:
+    if data.potential.bandwidth == 0:
         return 1.0 / (2.0 * math.pi)
-    ca, cA = data.potential_sups
+    _, ca, cA = data.potential.norm_bounds
     grad = cA + math.sqrt(cA * cA + max(mu, 0.0) + ca + cA * cA)
     return 1.0 / (2.0 * math.pi) + 2.0 * grad
 
@@ -159,10 +149,11 @@ def tail_bound_beyond(data: KernelEigendata, rho: float) -> float:
     sum is dominated by a geometric series.
     """
     q = data.count // 2
+    floor, abar = data.potential.norm_bounds[0], abs(data.potential.reduced_circulation)
     total = 0.0
     max_q = q + int(10.0 * rho) + 2000
     while q <= max_q:
-        mu_low = max(max(q - abs(data.tail_abar), 0.0) ** 2 + data.tail_floor, 0.0)
+        mu_low = max(max(q - abar, 0.0) ** 2 + floor, 0.0)
         nu = math.sqrt(mu_low)
         pair = 2.0 * bessel.term_tail_bound(nu, rho) * _tail_sup_sq(data, mu_low)
         if not math.isfinite(pair):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +100,14 @@ class AngularPotential:
     def reduced_circulation(self) -> float:
         """Circulation reduced to [-1/2, 1/2)."""
         return self.circulation - self.circulation_floor
+
+    @cached_property
+    def norm_bounds(self) -> tuple[float, float, float]:
+        """(floor, sup_a, sup_A) from the coefficients' l1 norms, with no sampling:
+        a_0 - sum_{m != 0} |a_m| <= min a, sum |a_m| >= max |a|, sum |A_m| >= max |A|."""
+        off = float(np.sum(np.abs(np.delete(self.a_coeffs, self.a_bandwidth))))
+        return (self.a_mean - off, float(np.sum(np.abs(self.a_coeffs))),
+                float(np.sum(np.abs(self.A_coeffs))))
 
     # -- evaluation -----------------------------------------------------------
 

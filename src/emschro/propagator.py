@@ -248,8 +248,8 @@ def _flip_eigendata(data: KernelEigendata) -> KernelEigendata:
 
     For real a and A, L(-A) conj(psi) = conj(L(A) psi), so the pairs are
     (mu_k, conj psi_k): coefficients conj(coeffs[::-1]).  `potential` is kept
-    as it is: the flow never reads it, and all the tail bounds take from it
-    (min a, max |a|, max |A|, |reduced circulation|) is the same for -A.
+    as it is: the flow never reads it, and what the tail bounds take from it
+    (the l1 norms of a and A, |reduced circulation|) is the same for -A.
     """
     return replace(data, coeffs=np.conj(data.coeffs[::-1]))
 
@@ -637,7 +637,7 @@ def _evolve_core(src: _Source, t: float, r_out: np.ndarray | None):
     betas = data.beta[keep]
     routed = None if r_out is None else _interpolated_integrals(betas, a, u0.r, t, s)
     r_src, a, I = routed or _direct_integrals(betas, a, u0.r, t, s)
-    phases = np.array([kernel.i_power(float(b)) for b in betas])
+    phases = kernel._phases(betas)
     prefac = np.exp(1j * t * s ** 2) / (2.0j * t)
     values = np.einsum("s,k,ks,kj->sj", prefac, phases, I, Psi, optimize=True)
     return PolarField(r=2.0 * t * s, values=values, t=t), s, I, r_src, a, keep

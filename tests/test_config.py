@@ -3,6 +3,7 @@
 import ast
 import inspect
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -132,17 +133,35 @@ def test_config_hash_is_order_insensitive_and_content_sensitive(tmp_path):
     cfg1 = parse_config(json.loads(json.dumps(GOOD)))
     reordered = {k: GOOD[k] for k in reversed(list(GOOD))}
     cfg2 = parse_config(json.loads(json.dumps(reordered)))
-    assert config_hash(cfg1) == config_hash(cfg2)
+    assert config_hash(cfg1, "spectrum") == config_hash(cfg2, "spectrum")
     changed = json.loads(json.dumps(GOOD))
     changed["output_dir"] = "elsewhere"
-    assert config_hash(parse_config(changed)) != config_hash(cfg1)
+    assert config_hash(parse_config(changed), "spectrum") != config_hash(cfg1, "spectrum")
 
 
 def test_config_hash_sees_defaults_not_spelling():
     explicit = {**GOOD, "spectrum": {"M": 32, "j_min": 8}, "decay": {"r0": 5.0}}
-    assert config_hash(parse_config(explicit)) == config_hash(parse_config(GOOD))
+    for section in ("spectrum", "decay"):
+        assert (config_hash(parse_config(explicit), section)
+                == config_hash(parse_config(GOOD), section))
     changed = {**GOOD, "decay": {"r0": 6.0}}
-    assert config_hash(parse_config(changed)) != config_hash(parse_config(GOOD))
+    assert config_hash(parse_config(changed), "decay") != config_hash(parse_config(GOOD), "decay")
+
+
+def test_config_hash_reads_only_its_command_section():
+    base = config_hash(parse_config(GOOD), "kernel_scan")
+    assert config_hash(parse_config({**GOOD, "spectrum": {"M": 64}}), "kernel_scan") == base
+    assert config_hash(parse_config({**GOOD, "kernel_scan": {"tol": 1e-8}}),
+                       "kernel_scan") != base
+
+
+def test_pyproject_takes_the_version_from_the_package():
+    tomllib = pytest.importorskip("tomllib")    # Python 3.11 on
+    pyproject = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
+    meta = tomllib.loads(pyproject.read_text())
+    assert "version" not in meta["project"]
+    assert "version" in meta["project"]["dynamic"]
+    assert meta["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "emschro.__version__"}
 
 
 def _keys_read(fn) -> set:

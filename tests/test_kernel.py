@@ -1,6 +1,6 @@
 """Propagator kernel series: closed-form references, truncation certificates."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -397,3 +397,37 @@ def test_gap_scan_matches_complex_bessel_weights(small_gap_grid, gemm_case):
         keep = level >= row.ell
         ref = np.einsum("kr,kt,ks->rts", W[keep], P[keep], np.conj(P[keep]))
         assert abs(row.max_abs - np.max(np.abs(ref))) <= 1e-14
+
+
+# -- eigendata carry (mu, psi, potential) and derive the rest ---------------------
+
+
+def test_eigendata_store_only_mu_coefficients_and_potential():
+    assert [f.name for f in fields(kernel.KernelEigendata)] == ["mu", "coeffs", "potential"]
+    data = kernel.circulation_eigendata(0.7, 6)
+    assert data.potential.circulation == 0.7
+    assert np.array_equal(data.beta, np.sqrt(data.mu))
+    assert np.array_equal(data.sup_bounds, np.full(data.count, 1.0 / np.sqrt(2.0 * np.pi)))
+
+
+def test_flipped_eigendata_rebuild_their_derived_bounds():
+    p = build_potential(a_coeffs=[0.1, 1.0, 0.1], A_coeffs=[0.2, 0.3, 0.2])
+    data = from_spectrum(compute_spectrum(p, 32))
+    data.sup_bounds, data.beta     # fill the caches before the copy
+    flipped = replace(data, coeffs=np.conj(data.coeffs[::-1]) * 2.0)
+    assert np.allclose(flipped.sup_bounds, 2.0 * data.sup_bounds, rtol=1e-14)
+    assert np.array_equal(flipped.beta, data.beta)
+
+
+@pytest.mark.parametrize("alpha", [0.7, -0.7, 1.3])
+def test_closed_form_tail_is_gauge_invariant(alpha):
+    """An integer shift of A relabels the modes, so the beyond-data tail reads
+    only |reduced circulation|: alpha = 0.7, -0.7 and 1.3 all bound like 0.3."""
+    ref = tail_bound_beyond(kernel.circulation_eigendata(0.3, 24), 7.5)
+    assert tail_bound_beyond(kernel.circulation_eigendata(alpha, 24), 7.5) \
+        == pytest.approx(ref, rel=1e-12)
+    # still a bound: (24 - |Abar|)^2 is at or below every eigenvalue past the data
+    data = kernel.circulation_eigendata(alpha, 24)
+    ks = np.arange(-400, 401)
+    past = np.setdiff1d((ks + alpha) ** 2, data.mu)
+    assert (24 - abs(data.potential.reduced_circulation)) ** 2 <= past.min() + 1e-12

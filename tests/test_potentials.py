@@ -148,3 +148,44 @@ def test_theta_grid_contract():
     assert th[-1] < 2 * np.pi
     with pytest.raises(InvalidInput):
         theta_grid(3)
+
+
+# -- coefficient norm bounds -------------------------------------------------------
+
+
+def _real_field(mean, harmonics):
+    """Coefficients of mean + sum_m (c_m e^{i m theta} + conj), modes -M..M."""
+    pos = [complex(re, im) for re, im in harmonics]
+    return [c.conjugate() for c in reversed(pos)] + [complex(mean)] + pos
+
+
+_harmonics = st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                      min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a0=st.floats(-3.0, 3.0), a_h=_harmonics, A0=st.floats(-3.0, 3.0), A_h=_harmonics)
+def test_norm_bounds_enclose_the_sampled_extremes(a0, a_h, A0, A_h):
+    p = build_potential(a_coeffs=_real_field(a0, a_h), A_coeffs=_real_field(A0, A_h))
+    floor, sup_a, sup_A = p.norm_bounds
+    th = theta_grid(2 ** 14)
+    a, A = p.a_values(th), p.A_values(th)
+    # a few ulps of slack for the grid evaluation's own rounding, where a bound is attained
+    eps = 1e-13 * (1.0 + sup_a + sup_A)
+    assert floor <= np.min(a) + eps
+    assert sup_a >= np.max(np.abs(a)) - eps
+    assert sup_A >= np.max(np.abs(A)) - eps
+
+
+def test_norm_floor_is_at_or_below_a_minimum_between_grid_points():
+    # a = 1 + cos(theta + pi/4096) has min a = 0 off every power-of-two grid
+    c = 0.5 * np.exp(1j * np.pi / 4096)
+    p = build_potential(a_coeffs=[np.conj(c), 1.0, c], A_coeffs=[0.3])
+    floor, sup_a, sup_A = p.norm_bounds
+    assert floor <= 0.0
+    assert sup_a == pytest.approx(2.0, abs=1e-15)
+    assert sup_A == pytest.approx(0.3, abs=1e-15)
+
+
+def test_constant_pair_bounds_are_its_values():
+    assert constant_potential(-0.7).norm_bounds == (0.0, 0.0, 0.7)

@@ -371,3 +371,39 @@ def test_the_audit_sees_a_potential_passed_beside_its_decomposition():
         "def carried(dec: galerkin.SpectralDecomposition, j: int):\n    return dec\n\n"
         "def potential_only(p: AngularPotential, q: AngularPotential):\n    return p\n")}
     assert _split_carriers(trees) == ["m.split"]
+
+
+# -- kernel bounds read coefficients, not samples ----------------------------------
+
+
+def _sampled_reads(tree: ast.Module) -> list[str]:
+    """Functions that evaluate a potential on a grid (`a_values`, `A_values`) or
+    branch on a missing potential (`... potential is None`)."""
+    out = []
+    for f in ast.walk(tree):
+        if not isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for n in ast.walk(f):
+            sampled = (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                       and n.func.attr in ("a_values", "A_values"))
+            provenance = (isinstance(n, ast.Compare)
+                          and isinstance(n.left, ast.Attribute) and n.left.attr == "potential"
+                          and any(isinstance(c, ast.Constant) and c.value is None
+                                  for c in n.comparators))
+            if sampled or provenance:
+                out.append(f.name)
+                break
+    return out
+
+
+def test_no_kernel_function_samples_the_potential_or_branches_on_its_absence():
+    assert _sampled_reads(_package_trees()["kernel"]) == []
+
+
+def test_the_audit_sees_a_sampled_extreme_and_a_provenance_branch():
+    tree = ast.parse(
+        "def floor(p, th):\n    return min(p.a_values(th))\n\n"
+        "def sup(data, th):\n    return max(abs(data.potential.A_values(th)))\n\n"
+        "def branch(data):\n    return 1.0 if data.potential is None else 2.0\n\n"
+        "def coeffs(p):\n    return p.norm_bounds\n")
+    assert _sampled_reads(tree) == ["floor", "sup", "branch"]
