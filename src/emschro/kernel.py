@@ -109,18 +109,20 @@ def ab_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
 
 
 def circulation_eigendata(alpha: float, n_modes: int) -> KernelEigendata:
-    """Eigenpairs (k + alpha)^2, e^{ik theta}/sqrt(2 pi) for |k| <= n_modes, unchecked.
+    """Eigenpairs (k + alpha)^2, e^{ik theta}/sqrt(2 pi) for |k + L| <= n_modes, unchecked.
 
-    Mode k is stored as the one-hot coefficient column of basis mode k.
-    alpha = 0 gives the free flow's integer orders beta = |k|; use
-    `ab_eigendata` wherever the kernel hypothesis mu_1 > 0 must hold.
+    L = `circulation_floor`: these are the 2 n_modes + 1 lowest eigenvalues, as the
+    beyond-data tail assumes.  Mode k is the one-hot column of basis mode k.  alpha = 0
+    gives the free flow's integer orders beta = |k|; use `ab_eigendata` wherever
+    the kernel hypothesis mu_1 > 0 must hold.
     """
-    ks = np.arange(-n_modes, n_modes + 1)
-    mu = (ks + alpha) ** 2
-    order = np.argsort(mu, kind="stable")
-    mu = mu[order]
-    return KernelEigendata(mu=mu, coeffs=np.eye(ks.size, dtype=complex)[:, order],
-                           potential=constant_potential(alpha))
+    p = constant_potential(alpha)
+    M = n_modes + abs(p.circulation_floor)
+    ks = np.arange(-n_modes, n_modes + 1) - p.circulation_floor
+    ks = ks[np.argsort((ks + alpha) ** 2, kind="stable")]
+    coeffs = np.zeros((2 * M + 1, ks.size), dtype=complex)
+    coeffs[ks + M, np.arange(ks.size)] = 1.0
+    return KernelEigendata(mu=(ks + alpha) ** 2, coeffs=coeffs, potential=p)
 
 
 # -- certified truncation --------------------------------------------------------

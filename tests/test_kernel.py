@@ -419,15 +419,27 @@ def test_flipped_eigendata_rebuild_their_derived_bounds():
     assert np.array_equal(flipped.beta, data.beta)
 
 
-@pytest.mark.parametrize("alpha", [0.7, -0.7, 1.3])
+@pytest.mark.parametrize("alpha", [0.7, -0.7, 1.3, 2.3, -1.7])
 def test_closed_form_tail_is_gauge_invariant(alpha):
     """An integer shift of A relabels the modes, so the beyond-data tail reads
-    only |reduced circulation|: alpha = 0.7, -0.7 and 1.3 all bound like 0.3."""
+    only |reduced circulation|: every alpha = 0.3 mod 1 bounds like 0.3."""
     ref = tail_bound_beyond(kernel.circulation_eigendata(0.3, 24), 7.5)
     assert tail_bound_beyond(kernel.circulation_eigendata(alpha, 24), 7.5) \
         == pytest.approx(ref, rel=1e-12)
-    # still a bound: (24 - |Abar|)^2 is at or below every eigenvalue past the data
+    # still a bound: the data are the 49 lowest eigenvalues, and (24 - |Abar|)^2
+    # is at or below every eigenvalue past them (k = -25 at alpha = 2.3 once was not)
     data = kernel.circulation_eigendata(alpha, 24)
     ks = np.arange(-400, 401)
     past = np.setdiff1d((ks + alpha) ** 2, data.mu)
+    assert data.mu.max() <= past.min()
     assert (24 - abs(data.potential.reduced_circulation)) ** 2 <= past.min() + 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.3, -0.3, 0.0])
+def test_closed_form_window_is_unchanged_in_the_reduced_range(alpha):
+    # |alpha| < 1/2: modes -n..n, one-hot columns of the identity
+    data = kernel.circulation_eigendata(alpha, 6)
+    ks = np.arange(-6, 7)
+    order = np.argsort((ks + alpha) ** 2, kind="stable")
+    assert np.array_equal(data.coeffs, np.eye(13, dtype=complex)[:, order])
+    assert np.array_equal(data.mu, ((ks + alpha) ** 2)[order])
