@@ -1,35 +1,31 @@
 #!/usr/bin/env python3
 """Run the bundled experiment configs through the command-line interface.
 
-Writes CSV tables and JSON sidecars under results/<name>/ in the chosen
-working directory.  Nonzero exit codes are collected and reported at the
-end instead of aborting the batch, so a hypothesis violation in one
-configuration does not hide the others.
+Each config runs the command of every section it holds (`kernel_scan` runs
+`kernel-scan`), configs in name order.  Writes CSV tables and JSON sidecars
+under results/<name>/ in the chosen working directory.  Nonzero exit codes
+are collected and reported at the end instead of aborting the batch, so a
+hypothesis violation in one configuration does not hide the others.
 """
 
 import argparse
+import json
 import pathlib
 import sys
 
 from emschro import cli
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent / "configs"
+SECTIONS = ("spectrum", "wkb", "kernel_scan", "decay")   # command: section with "-" for "_"
 
-BATCH = [
-    ("spectrum", "flux_line.json"),
-    ("wkb", "flux_line.json"),
-    ("kernel-scan", "flux_line.json"),
-    ("decay", "flux_line.json"),
-    ("spectrum", "cos_nonresonant.json"),
-    ("wkb", "cos_nonresonant.json"),
-    ("spectrum", "mixed_nonresonant.json"),
-    ("wkb", "mixed_nonresonant.json"),
-    ("spectrum", "even_electric.json"),
-    ("spectrum", "half_circulation.json"),
-    ("kernel-scan", "positive_well_scan.json"),
-    ("kernel-scan", "flux_gap_scan.json"),
-    ("decay", "decay_sweep.json"),
-]
+
+def batch() -> list[tuple[str, str]]:
+    """(command, config name) for every command section of every bundled config."""
+    runs = []
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        doc = json.loads(path.read_text())
+        runs += [(sec.replace("_", "-"), path.name) for sec in SECTIONS if sec in doc]
+    return runs
 
 
 def main() -> int:
@@ -39,7 +35,7 @@ def main() -> int:
     args = parser.parse_args()
 
     failures = []
-    for command, name in BATCH:
+    for command, name in batch():
         if args.only and args.only not in name:
             continue
         path = CONFIG_DIR / name

@@ -211,8 +211,7 @@ def cmd_wkb(cfg: ExperimentConfig, out_dir: str | None) -> int:
 
 
 def _is_pure_ab(p) -> bool:
-    return (p.a_bandwidth == 0 and p.A_bandwidth == 0
-            and abs(p.a_mean) < 1e-14)
+    return p.bandwidth == 0 and abs(p.a_mean) < 1e-14
 
 
 def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
@@ -225,7 +224,7 @@ def cmd_kernel_scan(cfg: ExperimentConfig, out_dir: str | None) -> int:
     scan = kernel.sup_scan(data, rho_max=sec["rho_max"], n_rho=sec["n_rho"],
                            n_theta=sec["n_theta"], tol=sec["tol"])
 
-    rho = np.linspace(0.0, sec["rho_max"], sec["n_rho"])
+    rho = scan.rho
     step = 1 if sec["full_grid"] else max(1, sec["n_rho"] // 40)
     rows = []
     for n in range(0, rho.size, step):

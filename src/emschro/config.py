@@ -1,10 +1,11 @@
 """Experiment configuration: JSON schema, validation, canonical hashing.
 
-A config file is a single JSON object.  The `potential` section follows the
-coefficient/sample convention of `potentials.build_potential`: `a_coeffs` is a
-list of [re, im] pairs indexed by mode -M..M (odd length), `a_samples` a list
-of real samples on a uniform theta grid (then `n_modes` is required), and the
-same for the magnetic field.  Exactly one of coeffs/samples per field.
+A config file is a single JSON object.  The `potential` section holds the
+keyword arguments of `potentials.build_potential`: `a_coeffs` is a list of
+[re, im] pairs indexed by mode -M..M (odd length), `a_samples` a list of real
+samples on a uniform theta grid, `n_modes` an integer >= 0, and the same for
+the magnetic field.  This module checks only each entry's JSON shape; how the
+entries combine is `build_potential`'s rule, and its refusal is a ConfigError.
 Command sections (`spectrum`, `wkb`, `kernel_scan`, `decay`) hold only the
 keys listed in their schemas; unknown keys are rejected so typos cannot
 silently fall back to defaults.  Each key is declared once, with its default
@@ -23,11 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__
-from .errors import ConfigError
-from .potentials import AngularPotential, build_potential
-
-_POTENTIAL_KEYS = {"a_coeffs", "a_samples", "A_coeffs", "A_samples", "n_modes"}
+from . import __version__, kernel, wkb
+from .errors import ConfigError, InvalidInput
+from .potentials import build_potential
 
 
 def _is_int(v) -> bool:
@@ -68,14 +67,14 @@ _SECTION_SCHEMAS = {
         "M": (64, _POSITIVE_INT),
         "j_list": ([8, 12, 16, 20, 24, -8, -12, -16],
                    _list_of(lambda v: _is_int(v) and v != 0, "nonzero integers")),
-        "delta": (0.05, _POSITIVE),
+        "delta": (wkb.DEFAULT_DELTA, _POSITIVE),
     },
     "kernel_scan": {
         "M": (160, _POSITIVE_INT), "count": (None, _POSITIVE_INT),
         "rho_max": (50.0, _POSITIVE),
         # the scan reads both rho = 0 and rho_max
         "n_rho": (200, (lambda v: _is_int(v) and v >= 2, "an integer >= 2")),
-        "n_theta": (64, _ANGULAR_GRID), "tol": (1e-9, _POSITIVE),
+        "n_theta": (64, _ANGULAR_GRID), "tol": (kernel.DEFAULT_TOL, _POSITIVE),
         "difference": (False, _BOOL), "ells": ([4, 8, 16], _POSITIVE_INTS),
         "full_grid": (False, _BOOL),
     },
@@ -117,45 +116,33 @@ def _check_section(name: str, given: dict) -> dict:
     return merged
 
 
-def _coeffs_from_json(pairs, label: str) -> np.ndarray:
-    if not (isinstance(pairs, list) and len(pairs) % 2 == 1
-            and all(_FINITE_NUMBERS[0](c) and len(c) == 2 for c in pairs)):
-        raise ConfigError(f"{label} must be an odd-length list of [re, im] pairs "
-                          f"of finite numbers")
+_PAIRS = (lambda v: isinstance(v, list) and len(v) % 2 == 1
+          and all(_FINITE_NUMBERS[0](c) and len(c) == 2 for c in v),
+          "an odd-length list of [re, im] pairs of finite numbers")
+# potential key: its JSON shape; how the keys combine is build_potential's rule
+_POTENTIAL_KEYS = {"a_coeffs": _PAIRS, "A_coeffs": _PAIRS, "a_samples": _FINITE_NUMBERS,
+                   "A_samples": _FINITE_NUMBERS,
+                   "n_modes": (lambda v: _is_int(v) and v >= 0, "an integer >= 0")}
+
+
+def _coeffs_from_json(pairs) -> np.ndarray:
     arr = np.asarray(pairs, dtype=float)
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _build_from_section(sec: dict) -> AngularPotential:
+def _potential_kwargs(sec: dict) -> dict:
+    """build_potential's arguments from the potential section, each of its JSON shape."""
     if not isinstance(sec, dict):
         raise ConfigError("section 'potential' must be a JSON object")
-    unknown = set(sec) - _POTENTIAL_KEYS
+    unknown = set(sec) - set(_POTENTIAL_KEYS)
     if unknown:
         raise ConfigError(f"unknown keys in potential section: {sorted(unknown)}")
-    kwargs = {}
-    for fieldname in ("a", "A"):
-        has_c = f"{fieldname}_coeffs" in sec
-        has_s = f"{fieldname}_samples" in sec
-        if has_c == has_s:
-            raise ConfigError(
-                f"potential needs exactly one of {fieldname}_coeffs / {fieldname}_samples"
-            )
-        if has_c:
-            kwargs[f"{fieldname}_coeffs"] = _coeffs_from_json(
-                sec[f"{fieldname}_coeffs"], f"{fieldname}_coeffs")
-        else:
-            samples = sec[f"{fieldname}_samples"]
-            if not _FINITE_NUMBERS[0](samples):
-                raise ConfigError(f"{fieldname}_samples must be {_FINITE_NUMBERS[1]}")
-            kwargs[f"{fieldname}_samples"] = np.asarray(samples, dtype=float)
-    if "a_samples" in kwargs or "A_samples" in kwargs:
-        n_modes = sec.get("n_modes")
-        if not _is_int(n_modes) or n_modes < 0:
-            raise ConfigError("potential with samples requires integer n_modes >= 0")
-        kwargs["n_modes"] = n_modes
-    elif "n_modes" in sec:
-        raise ConfigError("n_modes only applies to sampled potentials")
-    return build_potential(**kwargs)
+    for key, val in sec.items():
+        ok, kind = _POTENTIAL_KEYS[key]
+        if not ok(val):
+            raise ConfigError(f"potential.{key} must be {kind}")
+    return {key: _coeffs_from_json(val) if key.endswith("_coeffs") else val
+            for key, val in sec.items()}
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
@@ -167,7 +154,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
     if "potential" not in doc:
         raise ConfigError("config requires a potential section")
-    potential = _build_from_section(doc["potential"])
+    try:
+        potential = build_potential(**_potential_kwargs(doc["potential"]))
+    except InvalidInput as exc:
+        raise ConfigError(str(exc)) from exc
     output_dir = doc.get("output_dir", "out")
     if not isinstance(output_dir, str) or not output_dir:
         raise ConfigError("output_dir must be a nonempty string")

@@ -281,6 +281,7 @@ class ScanReport:
     row_values: np.ndarray = field(repr=False)      # K at each rho's max over the angles
     row_argmax: np.ndarray = field(repr=False)      # (theta, theta') of that max, per rho
     top_two_decade_variation: float
+    rho: np.ndarray = field(repr=False)             # the scanned rho grid
     grid_shape: tuple[int, int, int] = (0, 0, 0)
 
 
@@ -322,7 +323,7 @@ def sup_scan(data: KernelEigendata, rho_max: float, n_rho: int, n_theta: int,
         max_abs=m_all, argmax=(float(rho[top]), float(th[it[top]]), float(th[jt[top]])),
         window_edges=edges, window_maxima=wmax, running_maxima=rmax,
         row_values=row_values, row_argmax=np.column_stack([th[it], th[jt]]),
-        top_two_decade_variation=variation, grid_shape=K.shape,
+        top_two_decade_variation=variation, rho=rho, grid_shape=K.shape,
     )
 
 

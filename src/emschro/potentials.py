@@ -1,6 +1,7 @@
 """Angular potential pairs (a, A) on the circle and their gauge structure.
 
-A potential pair is stored by its Fourier coefficients on modes -M..M.  Both
+A potential pair is stored by its Fourier coefficients on modes -M..M, in
+canonical form (`_as_coeff_array`), so bandwidth 0 means constant a and A.  Both
 fields are real-valued functions of the angle; `a` is the electric profile,
 `A` the tangential magnetic profile.  The quantities that control everything
 downstream are the mean circulation of A, its reduction to [-1/2, 1/2), and
@@ -35,10 +36,13 @@ class ResonanceClass(enum.Enum):
 
 
 def _as_coeff_array(coeffs) -> np.ndarray:
+    """Canonical coefficients: exactly-zero outer pairs dropped, mode 0 always kept."""
     c = np.asarray(coeffs, dtype=complex)
     if c.ndim != 1 or c.size % 2 != 1:
         raise InvalidInput("coefficient array must be 1-D with odd length (modes -M..M)")
-    return c
+    M = c.size // 2
+    keep = int(np.max(np.abs(np.flatnonzero(c) - M), initial=0))
+    return c[M - keep:M + keep + 1]
 
 
 def _check_real_field(c: np.ndarray, name: str) -> None:
@@ -54,7 +58,7 @@ def _check_real_field(c: np.ndarray, name: str) -> None:
 
 @dataclass(frozen=True)
 class AngularPotential:
-    """Real potential pair (a, A) given by Fourier coefficients on modes -M..M."""
+    """Real potential pair (a, A) given by canonical Fourier coefficients on modes -M..M."""
 
     a_coeffs: np.ndarray = field(repr=False)
     A_coeffs: np.ndarray = field(repr=False)
@@ -189,18 +193,19 @@ def build_potential(
     A_samples=None,
     n_modes: int | None = None,
 ) -> AngularPotential:
-    """Build a potential pair from exactly one representation per field."""
+    """Build a potential pair from exactly one representation per field, with
+    `n_modes` exactly when a field is sampled: the one home of these rules."""
     if (a_coeffs is None) == (a_samples is None):
         raise InvalidInput("give exactly one of a_coeffs / a_samples")
     if (A_coeffs is None) == (A_samples is None):
         raise InvalidInput("give exactly one of A_coeffs / A_samples")
-    if (a_samples is not None or A_samples is not None) and n_modes is None:
-        raise InvalidInput("n_modes is required when building from samples")
+    if (a_samples is not None or A_samples is not None) != (n_modes is not None):
+        raise InvalidInput("n_modes is required with samples and applies only to them")
     if a_samples is not None:
         a_coeffs = coeffs_from_samples(a_samples, n_modes)
     if A_samples is not None:
         A_coeffs = coeffs_from_samples(A_samples, n_modes)
-    return AngularPotential(np.asarray(a_coeffs, complex), np.asarray(A_coeffs, complex))
+    return AngularPotential(a_coeffs, A_coeffs)
 
 
 def constant_potential(alpha: float) -> AngularPotential:

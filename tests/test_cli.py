@@ -177,6 +177,21 @@ def test_kernel_scan_rows_match_direct_evaluation(ab_config, tmp_path):
         assert int(row["terms_used"]) == kernel.cutoff_index(data, rho, tol)
 
 
+def test_flux_line_with_zero_harmonics_is_checked_against_the_closed_form(tmp_path):
+    """A padded spelling of a constant pair is still the pure flux line."""
+    scan = {"M": 64, "rho_max": 20.0, "n_rho": 20, "n_theta": 8}
+    metas = []
+    for name, pot in (("plain", {"a_coeffs": [[0.0, 0.0]], "A_coeffs": [[0.3, 0.0]]}),
+                      ("padded", {"a_coeffs": [[0.0, 0.0]] * 3,
+                                  "A_coeffs": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]})):
+        cfg = write_config(tmp_path, f"{name}.json", {
+            "potential": pot, "output_dir": str(tmp_path / "out"), "kernel_scan": scan})
+        assert cli.main(["kernel-scan", cfg]) == 0
+        metas.append(json.loads((tmp_path / "out" / "kernel_scan.csv.meta.json").read_text()))
+    assert metas[1]["thresholds"]["closed_form_max_diff"] < 1e-9
+    assert metas[1] == metas[0]
+
+
 def test_wkb_without_certified_eigenvalues_is_a_resolution_failure(ab_config, monkeypatch):
     real = galerkin.compute_spectrum
 

@@ -71,6 +71,14 @@ def test_sampled_potential_requires_mode_count():
                                     "A_coeffs": [[0.0, 0.0]], "n_modes": 2}})
 
 
+def test_padded_and_plain_potentials_hash_alike():
+    padded = {"a_coeffs": [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+              "A_coeffs": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]]}
+    for section in _SECTION_SCHEMAS:
+        assert (config_hash(parse_config({**GOOD, "potential": padded}), section)
+                == config_hash(parse_config(GOOD), section))
+
+
 def test_value_validation():
     with pytest.raises(ConfigError):
         parse_config({**GOOD, "spectrum": {"M": -4}})

@@ -419,6 +419,19 @@ def test_flipped_eigendata_rebuild_their_derived_bounds():
     assert np.array_equal(flipped.beta, data.beta)
 
 
+@pytest.mark.parametrize("spelling", [
+    {"a_coeffs": [0, 0, 0], "A_coeffs": [0, 0.3, 0]},
+    {"a_samples": [0.0] * 8, "A_samples": [0.3] * 8, "n_modes": 3},
+], ids=["zero_harmonics", "eight_samples"])
+def test_constant_pair_spelled_with_zero_harmonics_gets_the_constant_tail(spelling):
+    """Exactly-zero harmonics are not a bandwidth: the sup bound stays 1/2pi."""
+    def tail(p):
+        return tail_bound_beyond(from_spectrum(compute_spectrum(p, 24), count=21), 5.0)
+    plain = tail(build_potential(a_coeffs=[0.0], A_coeffs=[0.3]))
+    assert plain == pytest.approx(0.00167, rel=1e-3)
+    assert tail(build_potential(**spelling)) == plain
+
+
 @pytest.mark.parametrize("alpha", [0.7, -0.7, 1.3, 2.3, -1.7])
 def test_closed_form_tail_is_gauge_invariant(alpha):
     """An integer shift of A relabels the modes, so the beyond-data tail reads

@@ -54,6 +54,22 @@ def test_build_rejects_ambiguous_or_missing_input():
         build_potential(a_coeffs=[0.5, 0.5], A_coeffs=[0.0])  # even length
     with pytest.raises(InvalidInput):
         coeffs_from_samples([1.0, 2.0, 3.0], 2)  # too few samples
+    with pytest.raises(InvalidInput, match="n_modes"):
+        build_potential(a_coeffs=[0.0], A_coeffs=[0.3], n_modes=2)  # no samples
+
+
+def test_storage_drops_exactly_zero_outer_pairs_only():
+    padded = build_potential(a_coeffs=[0, 0, 0.5, 1.0, 0.5, 0, 0], A_coeffs=[0, 0.3, 0])
+    assert np.array_equal(padded.a_coeffs, [0.5, 1.0, 0.5])
+    assert np.array_equal(padded.A_coeffs, [0.3])
+    assert (padded.a_bandwidth, padded.A_bandwidth, padded.bandwidth) == (1, 0, 1)
+    # mode 0 stays even when it is zero; an inner zero pair stays
+    zero = build_potential(a_coeffs=[0.0] * 5, A_coeffs=[0.5, 0, 0.1, 0, 0.5])
+    assert np.array_equal(zero.a_coeffs, [0.0]) and zero.A_bandwidth == 2
+    # a constant on 8 samples has exact zero harmonics; on 7 its round-off stays
+    assert build_potential(a_samples=[0.0] * 8, A_samples=[0.3] * 8, n_modes=3).bandwidth == 0
+    seven = build_potential(a_samples=[0.0] * 7, A_samples=[0.3] * 7, n_modes=3)
+    assert seven.A_bandwidth == 3 and np.max(np.abs(seven.A_coeffs[:3])) < 1e-15
 
 
 def test_build_rejects_complex_valued_fields():
